@@ -37,38 +37,77 @@ pub fn windows(record: &Record, window_s: f64) -> Result<Vec<Record>, DspError> 
         .collect())
 }
 
+/// Where the sliding windows of a record fall: every window is
+/// `wlen` samples long and window `k` starts at sample `k * step`.
+/// Lets a caller cut windows one at a time ([`Record::slice`]) instead
+/// of materializing them all through [`sliding_windows`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlidingGeometry {
+    /// Window length, samples.
+    pub wlen: usize,
+    /// Advance between window starts, samples (at least 1).
+    pub step: usize,
+    /// Number of whole windows that fit.
+    pub count: usize,
+}
+
+impl SlidingGeometry {
+    /// Lay out windows of `window_s` seconds advanced by `step_s`
+    /// seconds over `len` samples at `fs` Hz.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidParameter`] if `step_s` is not a
+    /// finite positive number, or the window is empty or longer than
+    /// `len`.
+    pub fn new(len: usize, fs: f64, window_s: f64, step_s: f64) -> Result<Self, DspError> {
+        if !(step_s.is_finite() && step_s > 0.0) {
+            return Err(DspError::InvalidParameter {
+                name: "step_s",
+                reason: "step must be positive",
+            });
+        }
+        let wlen = (window_s * fs).round() as usize;
+        let step = ((step_s * fs).round() as usize).max(1);
+        if wlen == 0 || wlen > len {
+            return Err(DspError::InvalidParameter {
+                name: "window_s",
+                reason: "window does not fit in the record",
+            });
+        }
+        Ok(Self {
+            wlen,
+            step,
+            count: (len - wlen) / step + 1,
+        })
+    }
+
+    /// Sample range `[start, end)` of window `k`.
+    pub fn bounds(&self, k: usize) -> (usize, usize) {
+        let start = k * self.step;
+        (start, start + self.wlen)
+    }
+}
+
 /// Cut `record` into overlapping windows of `window_s` seconds advanced
 /// by `step_s` seconds (the training-time sliding window of the paper).
 ///
 /// # Errors
 ///
-/// Same conditions as [`windows`], plus `step_s` must be positive.
+/// Same conditions as [`windows`], plus `step_s` must be a finite
+/// positive number.
 pub fn sliding_windows(
     record: &Record,
     window_s: f64,
     step_s: f64,
 ) -> Result<Vec<Record>, DspError> {
-    if step_s <= 0.0 {
-        return Err(DspError::InvalidParameter {
-            name: "step_s",
-            reason: "step must be positive",
-        });
-    }
-    let wlen = (window_s * record.fs).round() as usize;
-    let step = ((step_s * record.fs).round() as usize).max(1);
-    if wlen == 0 || wlen > record.len() {
-        return Err(DspError::InvalidParameter {
-            name: "window_s",
-            reason: "window does not fit in the record",
-        });
-    }
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start + wlen <= record.len() {
-        out.push(record.slice(start, start + wlen));
-        start += step;
-    }
-    Ok(out)
+    let g = SlidingGeometry::new(record.len(), record.fs, window_s, step_s)?;
+    Ok((0..g.count)
+        .map(|k| {
+            let (start, end) = g.bounds(k);
+            record.slice(start, end)
+        })
+        .collect())
 }
 
 /// A subject's training and testing material, generated with disjoint
@@ -133,10 +172,18 @@ mod tests {
     }
 
     #[test]
-    fn sliding_rejects_zero_step() {
+    fn sliding_rejects_non_positive_and_non_finite_step() {
         let s = &bank()[0];
         let r = Record::synthesize(s, 10.0, 4);
-        assert!(sliding_windows(&r, 3.0, 0.0).is_err());
+        for step_s in [0.0, -1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    sliding_windows(&r, 3.0, step_s),
+                    Err(DspError::InvalidParameter { name: "step_s", .. })
+                ),
+                "step {step_s} accepted"
+            );
+        }
     }
 
     #[test]

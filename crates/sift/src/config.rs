@@ -58,12 +58,12 @@ impl SiftConfig {
     /// Returns [`SiftError::InvalidConfig`] describing the first violated
     /// constraint.
     pub fn validate(&self) -> Result<(), SiftError> {
-        if self.fs <= 0.0 {
+        if !is_positive(self.fs) {
             return Err(SiftError::InvalidConfig {
                 reason: "sample rate must be positive",
             });
         }
-        if self.window_s <= 0.0 {
+        if !is_positive(self.window_s) {
             return Err(SiftError::InvalidConfig {
                 reason: "window length must be positive",
             });
@@ -73,23 +73,29 @@ impl SiftConfig {
                 reason: "grid size must be at least 2",
             });
         }
-        if self.train_s < self.window_s {
+        if !is_positive(self.train_s) || self.train_s < self.window_s {
             return Err(SiftError::InvalidConfig {
                 reason: "training duration must cover at least one window",
             });
         }
-        if self.train_step_s <= 0.0 {
+        if !is_positive(self.train_step_s) {
             return Err(SiftError::InvalidConfig {
                 reason: "training window step must be positive",
             });
         }
-        if self.svm_c <= 0.0 {
+        if !is_positive(self.svm_c) {
             return Err(SiftError::InvalidConfig {
                 reason: "svm cost must be positive",
             });
         }
         Ok(())
     }
+}
+
+/// A finite, strictly positive value. NaN and ±∞ fail, where a bare
+/// `x <= 0.0` guard would let NaN through.
+fn is_positive(x: f64) -> bool {
+    x.is_finite() && x > 0.0
 }
 
 #[cfg(test)]
@@ -108,16 +114,26 @@ mod tests {
     #[test]
     fn validation_catches_each_violation() {
         let base = SiftConfig::default();
-        let cases: Vec<SiftConfig> = vec![
-            SiftConfig { fs: 0.0, ..base.clone() },
-            SiftConfig { window_s: 0.0, ..base.clone() },
+        let mut cases: Vec<SiftConfig> = vec![
             SiftConfig { grid_n: 1, ..base.clone() },
             SiftConfig { train_s: 1.0, ..base.clone() },
-            SiftConfig { train_step_s: 0.0, ..base.clone() },
-            SiftConfig { svm_c: 0.0, ..base.clone() },
         ];
+        // NaN slips past a bare `x <= 0.0` guard, so every real-valued
+        // field is also tried at NaN and ±∞.
+        for x in [0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            cases.extend([
+                SiftConfig { fs: x, ..base.clone() },
+                SiftConfig { window_s: x, ..base.clone() },
+                SiftConfig { train_s: x, ..base.clone() },
+                SiftConfig { train_step_s: x, ..base.clone() },
+                SiftConfig { svm_c: x, ..base.clone() },
+            ]);
+        }
         for c in cases {
-            assert!(c.validate().is_err(), "{c:?}");
+            assert!(
+                matches!(c.validate(), Err(SiftError::InvalidConfig { .. })),
+                "{c:?}"
+            );
         }
     }
 }

@@ -21,6 +21,7 @@ use ml::embedded::EmbeddedModel;
 use ml::linear_svm::{LinearSvm, LinearSvmTrainer};
 use ml::scaler::StandardScaler;
 use ml::{Dataset, Label};
+use physio_sim::dataset::SlidingGeometry;
 use physio_sim::record::Record;
 use physio_sim::subject::Subject;
 use rand::rngs::StdRng;
@@ -146,47 +147,43 @@ pub fn build_training_set(
     }
 
     let mut data = Dataset::new(version.feature_count())?;
+    let geometry = |len: usize, fs: f64| {
+        SlidingGeometry::new(len, fs, config.window_s, config.train_step_s)
+    };
+    // Windows are cut one at a time by index, so no more than one
+    // window per record is ever resident.
+    let window = |rec: &Record, g: &SlidingGeometry, k: usize| {
+        let (start, end) = g.bounds(k);
+        rec.slice(start, end)
+    };
 
     // Negative class: the wearer's own windows.
-    for window in
-        physio_sim::dataset::sliding_windows(victim_train, config.window_s, config.train_step_s)?
-    {
-        let snippet = Snippet::from_record(&window)?;
+    let gv = geometry(victim_train.len(), victim_train.fs)?;
+    for k in 0..gv.count {
+        let w = window(victim_train, &gv, k);
+        let snippet = Snippet::new(w.ecg, w.abp, w.r_peaks, w.sys_peaks)?;
         if let Some(f) = extract_usable(version, &snippet, config) {
             data.push(f, Label::Negative)?;
         }
     }
 
-    // Positive class: wearer ABP × donor ECG.
+    // Positive class: wearer ABP × donor ECG, over the windows both
+    // records cover. With a cap, only the windows that survive the
+    // shuffle are ever cut.
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xD030);
     for donor in donor_trains {
         let len = victim_train.len().min(donor.len());
-        let victim_part = victim_train.slice(0, len);
-        let donor_part = donor.slice(0, len);
-        let v_windows = physio_sim::dataset::sliding_windows(
-            &victim_part,
-            config.window_s,
-            config.train_step_s,
-        )?;
-        let d_windows = physio_sim::dataset::sliding_windows(
-            &donor_part,
-            config.window_s,
-            config.train_step_s,
-        )?;
-        let mut idx: Vec<usize> = (0..v_windows.len().min(d_windows.len())).collect();
+        let gv = geometry(len, victim_train.fs)?;
+        let gd = geometry(len, donor.fs)?;
+        let mut idx: Vec<usize> = (0..gv.count.min(gd.count)).collect();
         if let Some(cap) = config.max_positive_per_donor {
             idx.shuffle(&mut rng);
             idx.truncate(cap);
         }
         for i in idx {
-            let vw = &v_windows[i];
-            let dw = &d_windows[i];
-            let snippet = Snippet::new(
-                dw.ecg.clone(),
-                vw.abp.clone(),
-                dw.r_peaks.clone(),
-                vw.sys_peaks.clone(),
-            )?;
+            let vw = window(victim_train, &gv, i);
+            let dw = window(donor, &gd, i);
+            let snippet = Snippet::new(dw.ecg, vw.abp, dw.r_peaks, vw.sys_peaks)?;
             if let Some(f) = extract_usable(version, &snippet, config) {
                 data.push(f, Label::Positive)?;
             }
@@ -409,6 +406,72 @@ mod tests {
     use ml::Classifier;
     use physio_sim::subject::bank;
 
+    /// The materializing reference: copy each donor's overlap with the
+    /// victim, cut every sliding window up front, then keep the
+    /// shuffled survivors. The lean [`build_training_set`] must match
+    /// it bit for bit.
+    fn materializing_training_set(
+        victim_train: &Record,
+        donor_trains: &[&Record],
+        version: Version,
+        config: &SiftConfig,
+    ) -> Result<Dataset, SiftError> {
+        config.validate()?;
+        if donor_trains.is_empty() {
+            return Err(SiftError::NoDonors);
+        }
+
+        let mut data = Dataset::new(version.feature_count())?;
+
+        // Negative class: the wearer's own windows.
+        for window in
+            physio_sim::dataset::sliding_windows(victim_train, config.window_s, config.train_step_s)?
+        {
+            let snippet = Snippet::from_record(&window)?;
+            if let Some(f) = extract_usable(version, &snippet, config) {
+                data.push(f, Label::Negative)?;
+            }
+        }
+
+        // Positive class: wearer ABP × donor ECG.
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xD030);
+        for donor in donor_trains {
+            let len = victim_train.len().min(donor.len());
+            let victim_part = victim_train.slice(0, len);
+            let donor_part = donor.slice(0, len);
+            let v_windows = physio_sim::dataset::sliding_windows(
+                &victim_part,
+                config.window_s,
+                config.train_step_s,
+            )?;
+            let d_windows = physio_sim::dataset::sliding_windows(
+                &donor_part,
+                config.window_s,
+                config.train_step_s,
+            )?;
+            let mut idx: Vec<usize> = (0..v_windows.len().min(d_windows.len())).collect();
+            if let Some(cap) = config.max_positive_per_donor {
+                idx.shuffle(&mut rng);
+                idx.truncate(cap);
+            }
+            for i in idx {
+                let vw = &v_windows[i];
+                let dw = &d_windows[i];
+                let snippet = Snippet::new(
+                    dw.ecg.clone(),
+                    vw.abp.clone(),
+                    dw.r_peaks.clone(),
+                    vw.sys_peaks.clone(),
+                )?;
+                if let Some(f) = extract_usable(version, &snippet, config) {
+                    data.push(f, Label::Positive)?;
+                }
+            }
+        }
+
+        Ok(data)
+    }
+
     fn quick_config() -> SiftConfig {
         SiftConfig {
             train_s: 60.0,
@@ -490,6 +553,71 @@ mod tests {
                 let embedded = m.embedded().predict(&f) == Label::Positive;
                 assert_eq!(gold, embedded);
             }
+        }
+    }
+
+    fn assert_bit_identical(lean: &Dataset, oracle: &Dataset, what: &str) {
+        assert_eq!(lean.dim(), oracle.dim(), "{what}: dim");
+        assert_eq!(lean.labels(), oracle.labels(), "{what}: labels");
+        let bits = |d: &Dataset| -> Vec<Vec<u64>> {
+            d.features()
+                .iter()
+                .map(|f| f.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(lean), bits(oracle), "{what}: features");
+    }
+
+    #[test]
+    fn lean_training_set_matches_materializing_oracle() {
+        let b = bank();
+        let victim = Record::synthesize(&b[0], 30.0, 11);
+        // Equal-length, shorter-than-victim and longer-than-victim donors.
+        let donors = [
+            Record::synthesize(&b[1], 30.0, 12),
+            Record::synthesize(&b[2], 20.0, 13),
+            Record::synthesize(&b[3], 36.0, 14),
+        ];
+        let donor_refs: Vec<&Record> = donors.iter().collect();
+        // 1.5 s divides the 3 s window; 1.1 s and 0.7 s do not.
+        for step in [1.5, 1.1, 0.7] {
+            for cap in [None, Some(15), Some(80)] {
+                let cfg = SiftConfig {
+                    train_s: 30.0,
+                    train_step_s: step,
+                    max_positive_per_donor: cap,
+                    ..SiftConfig::default()
+                };
+                let lean = build_training_set(&victim, &donor_refs, Version::Simplified, &cfg)
+                    .unwrap();
+                let oracle =
+                    materializing_training_set(&victim, &donor_refs, Version::Simplified, &cfg)
+                        .unwrap();
+                assert!(lean.has_both_classes());
+                assert_bit_identical(&lean, &oracle, &format!("step {step} cap {cap:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn lean_training_set_rejects_oversized_windows_like_the_oracle() {
+        let b = bank();
+        let cfg = SiftConfig {
+            train_s: 30.0,
+            window_s: 3.0,
+            ..SiftConfig::default()
+        };
+        let long = Record::synthesize(&b[0], 30.0, 21);
+        let short = Record::synthesize(&b[1], 2.0, 22);
+        // Window longer than the victim record, then than one donor.
+        for (victim, donor) in [(&short, &long), (&long, &short)] {
+            let lean = build_training_set(victim, &[&long, donor], Version::Reduced, &cfg);
+            let oracle = materializing_training_set(victim, &[&long, donor], Version::Reduced, &cfg);
+            assert!(
+                matches!(lean, Err(SiftError::Dsp(_))),
+                "oversized window accepted: {lean:?}"
+            );
+            assert_eq!(lean.unwrap_err(), oracle.unwrap_err());
         }
     }
 

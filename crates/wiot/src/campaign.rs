@@ -32,7 +32,8 @@
 use crate::attacker::{AttackMode, ATTACK_CLASS_COUNT, ATTACK_CLASS_NAMES};
 use crate::channel::LossModel;
 use crate::fleet::{
-    device_seed, run_fleet_provisioned, DeviceProvision, FleetProvisioner, FleetReport, FleetSpec,
+    device_seed, ordered_fan_out, run_fleet_provisioned, DeviceProvision, FleetProvisioner,
+    FleetReport, FleetSpec,
 };
 use crate::scenario::{AttackSpec, Scenario};
 use crate::WiotError;
@@ -157,43 +158,53 @@ impl AttackClass {
     ///
     /// The legacy four produce byte-identical [`AttackMode`] values to
     /// direct construction, so golden traces are unaffected by routing
-    /// through the taxonomy.
+    /// through the taxonomy. A thin wrapper over
+    /// [`AttackClass::materialize_with`].
     pub fn materialize(
         &self,
         victim_live: &Record,
         donor: &Record,
         window_ms: u64,
     ) -> AttackMode {
+        self.materialize_with(|| victim_live.clone(), || donor.clone(), window_ms)
+    }
+
+    /// [`AttackClass::materialize`] with the recordings supplied on
+    /// demand: each closure runs at most once, and only if the class
+    /// consumes that recording. Freeze and NoiseInject call neither,
+    /// Replay and ReplaySnr call only `victim_live`, and the five donor
+    /// classes call only `donor` — so a caller that synthesizes inside
+    /// the closures renders exactly the records the attack needs.
+    pub fn materialize_with(
+        &self,
+        victim_live: impl FnOnce() -> Record,
+        donor: impl FnOnce() -> Record,
+        window_ms: u64,
+    ) -> AttackMode {
         match *self {
-            AttackClass::Substitution => AttackMode::Substitute {
-                donor: donor.clone(),
-            },
+            AttackClass::Substitution => AttackMode::Substitute { donor: donor() },
             AttackClass::Replay { offset_s } => AttackMode::Replay {
                 offset_s,
-                source: victim_live.clone(),
+                source: victim_live(),
             },
             AttackClass::Freeze => AttackMode::Freeze,
             AttackClass::NoiseInject { amplitude_mv } => AttackMode::NoiseInject { amplitude_mv },
             AttackClass::Mimicry { blend_permille } => AttackMode::Mimicry {
-                donor: donor.clone(),
+                donor: donor(),
                 blend_permille,
             },
             AttackClass::ReplaySnr { offset_s, snr_db } => AttackMode::ReplaySnr {
                 offset_s,
-                source: victim_live.clone(),
+                source: victim_live(),
                 snr_db,
             },
             AttackClass::PartialWindow { coverage_permille } => AttackMode::PartialWindow {
-                donor: donor.clone(),
+                donor: donor(),
                 window_ms,
                 coverage_permille,
             },
-            AttackClass::Coordinated => AttackMode::Coordinated {
-                donor: donor.clone(),
-            },
-            AttackClass::Adaptive => AttackMode::Adaptive {
-                donor: donor.clone(),
-            },
+            AttackClass::Coordinated => AttackMode::Coordinated { donor: donor() },
+            AttackClass::Adaptive => AttackMode::Adaptive { donor: donor() },
         }
     }
 }
@@ -433,21 +444,23 @@ impl FleetProvisioner for CampaignProvisioner<'_> {
         scenario.victim = victim;
         scenario.seed = device_seed(spec.seed, device);
 
-        // The victim's live session — synthesized with the same seed
-        // split the device itself uses, so a replay source really is
-        // the session under attack.
+        // Only the records the class consumes are synthesized. The
+        // victim's live session uses the same seed split the device
+        // itself uses, so a replay source really is the session under
+        // attack; the donor index is drawn only for donor classes.
         let victim_subject = &self.subjects[victim];
-        let victim_live =
-            Record::synthesize(victim_subject, scenario.duration_s, scenario.seed ^ 0x11FE);
-        let donor_idx = self.donor_index(&wave.class, victim, scenario.seed);
-        let donor = Record::synthesize(
-            &self.subjects[donor_idx],
-            scenario.duration_s,
-            scenario.seed ^ 0xD00D,
-        );
+        let (duration_s, seed) = (scenario.duration_s, scenario.seed);
         let window_ms = (scenario.config.window_s * 1000.0) as u64;
+        let mode = wave.class.materialize_with(
+            || Record::synthesize(victim_subject, duration_s, seed ^ 0x11FE),
+            || {
+                let donor_idx = self.donor_index(&wave.class, victim, seed);
+                Record::synthesize(&self.subjects[donor_idx], duration_s, seed ^ 0xD00D)
+            },
+            window_ms,
+        );
         scenario.attack = Some(AttackSpec {
-            mode: wave.class.materialize(&victim_live, &donor, window_ms),
+            mode,
             start_s: wave.start_s,
             end_s: wave.end_s,
         });
@@ -471,6 +484,38 @@ impl FleetProvisioner for CampaignProvisioner<'_> {
             deployed: &self.models[pool_slot],
         })
     }
+}
+
+/// Enroll one pool victim: synthesize its training record and
+/// `donors_per_victim` donor records (the population neighbours after
+/// it, seed-split from the victim's training seed) and train the
+/// plan's backend on them.
+fn enroll_victim(
+    plan: &CampaignPlan,
+    subjects: &[Subject],
+    victim: usize,
+    template: &Scenario,
+) -> Result<DetectorModel, WiotError> {
+    let n = subjects.len();
+    let train_seed = device_seed(plan.seed ^ 0x7EA1, victim);
+    let victim_rec = Record::synthesize(&subjects[victim], template.config.train_s, train_seed);
+    let donor_recs: Vec<Record> = (0..plan.donors_per_victim)
+        .map(|j| {
+            Record::synthesize(
+                &subjects[(victim + 1 + j) % n],
+                template.config.train_s,
+                device_seed(train_seed, j + 1),
+            )
+        })
+        .collect();
+    let donor_refs: Vec<&Record> = donor_recs.iter().collect();
+    Ok(train_backend(
+        &victim_rec,
+        &donor_refs,
+        plan.version,
+        plan.backend,
+        &template.config,
+    )?)
 }
 
 /// Run a campaign end to end: sample the population, enroll the victim
@@ -512,40 +557,15 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, WiotError> {
 
     // Victim pool: evenly spaced over the population (distinct because
     // pool ≤ population), then one model enrollment per pool victim
-    // against seed-split donor records. Enrollment cost scales with
-    // the pool, not the population.
+    // against seed-split donor records, fanned out over the plan's
+    // worker threads. Enrollment cost scales with the pool, not the
+    // population, and the models come back in pool order.
     let pool: Vec<usize> = (0..plan.victim_pool)
         .map(|i| i * plan.population_size / plan.victim_pool)
         .collect();
-    let n = plan.population_size;
-    let mut models = Vec::with_capacity(pool.len());
-    for &victim in &pool {
-        let train_seed = device_seed(plan.seed ^ 0x7EA1, victim);
-        let victim_rec = Record::synthesize(
-            &subjects[victim],
-            template.config.train_s,
-            train_seed,
-        );
-        let donor_recs: Vec<Record> = (0..plan.donors_per_victim)
-            .map(|j| {
-                let d = (victim + 1 + j) % n;
-                Record::synthesize(
-                    &subjects[d],
-                    template.config.train_s,
-                    device_seed(train_seed, j + 1),
-                )
-            })
-            .collect();
-        let donor_refs: Vec<&Record> = donor_recs.iter().collect();
-        let model = train_backend(
-            &victim_rec,
-            &donor_refs,
-            plan.version,
-            plan.backend,
-            &template.config,
-        )?;
-        models.push(model);
-    }
+    let models = ordered_fan_out(pool.len(), plan.threads, |slot| {
+        enroll_victim(plan, &subjects, pool[slot], &template)
+    })?;
 
     let spec = FleetSpec {
         devices: plan.devices(),
@@ -609,6 +629,7 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, WiotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn wilson_interval_matches_known_values() {
@@ -645,11 +666,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn class_indices_align_with_attack_modes() {
-        let donor = Record::synthesize(&physio_sim::subject::bank()[1], 2.0, 9);
-        let live = Record::synthesize(&physio_sim::subject::bank()[0], 2.0, 8);
-        let all = [
+    /// One instance of every class, in index order.
+    fn all_classes() -> [AttackClass; ATTACK_CLASS_COUNT] {
+        [
             AttackClass::Substitution,
             AttackClass::Replay { offset_s: 1.0 },
             AttackClass::Freeze,
@@ -664,13 +683,60 @@ mod tests {
             },
             AttackClass::Coordinated,
             AttackClass::Adaptive,
-        ];
-        assert_eq!(all.len(), ATTACK_CLASS_COUNT);
-        for (i, class) in all.iter().enumerate() {
+        ]
+    }
+
+    fn live_and_donor() -> (Record, Record) {
+        (
+            Record::synthesize(&physio_sim::subject::bank()[0], 2.0, 8),
+            Record::synthesize(&physio_sim::subject::bank()[1], 2.0, 9),
+        )
+    }
+
+    #[test]
+    fn class_indices_align_with_attack_modes() {
+        let (live, donor) = live_and_donor();
+        for (i, class) in all_classes().iter().enumerate() {
             assert_eq!(class.index(), i);
             let mode = class.materialize(&live, &donor, 8000);
             assert_eq!(mode.class_index(), i, "{}", class.name());
             assert_eq!(mode.name(), class.name());
+        }
+    }
+
+    #[test]
+    fn materialize_with_renders_only_the_records_a_class_consumes() {
+        let (live, donor) = live_and_donor();
+        for class in all_classes() {
+            let (live_calls, donor_calls) = (Cell::new(0u32), Cell::new(0u32));
+            let mode = class.materialize_with(
+                || {
+                    live_calls.set(live_calls.get() + 1);
+                    live.clone()
+                },
+                || {
+                    donor_calls.set(donor_calls.get() + 1);
+                    donor.clone()
+                },
+                8000,
+            );
+            let (want_live, want_donor) = match class {
+                AttackClass::Freeze | AttackClass::NoiseInject { .. } => (0, 0),
+                AttackClass::Replay { .. } | AttackClass::ReplaySnr { .. } => (1, 0),
+                AttackClass::Substitution
+                | AttackClass::Mimicry { .. }
+                | AttackClass::PartialWindow { .. }
+                | AttackClass::Coordinated
+                | AttackClass::Adaptive => (0, 1),
+            };
+            assert_eq!(live_calls.get(), want_live, "{} victim renders", class.name());
+            assert_eq!(donor_calls.get(), want_donor, "{} donor renders", class.name());
+            assert_eq!(
+                mode,
+                class.materialize(&live, &donor, 8000),
+                "{} materialize differs from materialize_with",
+                class.name()
+            );
         }
     }
 

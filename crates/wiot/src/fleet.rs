@@ -814,46 +814,61 @@ pub fn run_fleet_provisioned(
             reason: "fleet must have at least one device",
         });
     }
-    let threads = spec.threads.clamp(1, spec.devices);
+    let summaries = ordered_fan_out(spec.devices, spec.threads, |device| {
+        simulate_device(spec, prov, device)
+    })?;
+    Ok(reduce(spec, summaries))
+}
 
-    let mut slots: Vec<Option<Result<DeviceSummary, WiotError>>> =
-        (0..spec.devices).map(|_| None).collect();
+/// Run `job(i)` for every `i` in `0..n` on up to `threads` scoped
+/// workers (clamped to `1..=n`) and return the results in index order.
+/// The one ordered-parallel mechanism of the crate: the resident fleet
+/// engine simulates devices through it, and the campaign engine enrolls
+/// its victim pool through it.
+///
+/// Worker `w` owns indices `w, w+T, w+2T, …`; any partition would do,
+/// because results land in index-addressed slots and are read back in
+/// index order, so the output never depends on the thread count or the
+/// schedule.
+///
+/// # Errors
+///
+/// Returns the lowest-index job error (deterministic regardless of which
+/// worker hit it first), or [`WiotError::InvalidScenario`] if a worker
+/// ended without reporting an index.
+pub(crate) fn ordered_fan_out<T, F>(n: usize, threads: usize, job: F) -> Result<Vec<T>, WiotError>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T, WiotError> + Sync,
+{
+    let threads = threads.clamp(1, n.max(1));
+    let mut slots: Vec<Option<Result<T, WiotError>>> = (0..n).map(|_| None).collect();
     thread::scope(|scope| {
         let (tx, rx) = mpsc::channel();
         for worker in 0..threads {
             let tx = tx.clone();
+            let job = &job;
             scope.spawn(move || {
-                // Static sharding: worker w owns devices w, w+T, w+2T, …
-                // Any partition works — determinism comes from the
-                // index-ordered reduction, not the schedule.
-                for device in (worker..spec.devices).step_by(threads) {
-                    let result = simulate_device(spec, prov, device);
-                    if tx.send((device, result)).is_err() {
+                for i in (worker..n).step_by(threads) {
+                    if tx.send((i, job(i))).is_err() {
                         return;
                     }
                 }
             });
         }
         drop(tx);
-        for (device, result) in rx {
-            slots[device] = Some(result);
+        for (i, result) in rx {
+            slots[i] = Some(result);
         }
     });
-
-    let mut summaries = Vec::with_capacity(spec.devices);
-    for (device, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(summary)) => summaries.push(summary),
-            Some(Err(e)) => return Err(e),
-            None => {
-                debug_assert!(false, "worker for device {device} vanished without reporting");
-                return Err(WiotError::InvalidScenario {
-                    reason: "fleet worker terminated without reporting",
-                });
-            }
-        }
-    }
-    Ok(reduce(spec, summaries))
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or(Err(WiotError::InvalidScenario {
+                reason: "fan-out worker terminated without reporting",
+            }))
+        })
+        .collect()
 }
 
 /// Train the model bank for `spec` (one model per subject, shared
@@ -887,6 +902,59 @@ mod tests {
         assert_eq!(device_seed(42, 17), seeds[17]);
         // A different fleet seed moves every stream.
         assert!((0..256).all(|i| device_seed(43, i) != seeds[i]));
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_index_order() {
+        for n in [0usize, 1, 2, 5, 17] {
+            for threads in [1usize, 2, 3, 8] {
+                let out = ordered_fan_out(n, threads, |i| Ok(i * i)).unwrap();
+                let expect: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(out, expect, "n {n} threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_the_lowest_index_error() {
+        let fail_at = |i: usize| -> Result<usize, WiotError> {
+            if i % 4 == 3 {
+                Err(WiotError::RetryBudgetExhausted {
+                    stream: crate::device::Stream::Ecg,
+                    seq: i as u64,
+                })
+            } else {
+                Ok(i)
+            }
+        };
+        for n in [4usize, 5, 12, 30] {
+            for threads in [1usize, 2, 3, 8] {
+                assert_eq!(
+                    ordered_fan_out(n, threads, fail_at),
+                    Err(WiotError::RetryBudgetExhausted {
+                        stream: crate::device::Stream::Ecg,
+                        seq: 3,
+                    }),
+                    "n {n} threads {threads}"
+                );
+            }
+        }
+        // Fewer jobs than threads, all failing: index 0 still wins.
+        for threads in [1usize, 2, 3, 8] {
+            let err = ordered_fan_out(2, threads, |i| -> Result<(), WiotError> {
+                Err(WiotError::RetryBudgetExhausted {
+                    stream: crate::device::Stream::Abp,
+                    seq: i as u64,
+                })
+            });
+            assert_eq!(
+                err,
+                Err(WiotError::RetryBudgetExhausted {
+                    stream: crate::device::Stream::Abp,
+                    seq: 0,
+                })
+            );
+        }
     }
 
     #[test]

@@ -23,6 +23,12 @@ cargo test -q --test resample_props
 cargo test -q --test detector_conformance
 cargo test -q -p ml --test tsetlin_props
 
+# Repository benchmark: its conformance suite builds against the public
+# APIs of the simulation crates (attack materialization, device
+# provisioning, model-bank enrollment), so an API break there fails
+# here rather than only when the benchmark runs.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 cargo clippy --workspace -- -D warnings
 
 # Workspace static analysis: embedded-profile, determinism, call-graph,

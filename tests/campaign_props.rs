@@ -163,6 +163,65 @@ fn campaign_digest_is_thread_count_invariant() {
     assert_ne!(digest, reseeded.digest(), "campaign seed does not reach the fleet");
 }
 
+/// All nine classes staged over a victim pool wider than two threads:
+/// victim enrollment and per-class lazy record synthesis both run on
+/// the worker pool, and neither the campaign digest nor any per-device
+/// row moves between 1, 2 and 8 threads.
+#[test]
+fn campaign_with_threaded_enrollment_is_thread_count_invariant() {
+    let classes = [
+        AttackClass::Substitution,
+        AttackClass::Replay { offset_s: 6.0 },
+        AttackClass::Freeze,
+        AttackClass::NoiseInject { amplitude_mv: 0.6 },
+        AttackClass::Mimicry {
+            blend_permille: 700,
+        },
+        AttackClass::ReplaySnr {
+            offset_s: 6.0,
+            snr_db: 6.0,
+        },
+        AttackClass::PartialWindow {
+            coverage_permille: 600,
+        },
+        AttackClass::Coordinated,
+        AttackClass::Adaptive,
+    ];
+    let base = CampaignPlan {
+        population_size: 24,
+        population_seed: 0xC0FFEE,
+        victim_pool: 5,
+        donors_per_victim: 3,
+        seed: 0x7EAD,
+        threads: 1,
+        backend: BackendKind::Tsetlin,
+        version: Version::Simplified,
+        duration_s: 24.0,
+        waves: classes
+            .into_iter()
+            .map(|class| AttackWave {
+                class,
+                devices: 1,
+                start_s: 9.0,
+                end_s: 18.0,
+            })
+            .collect(),
+    };
+    let one = run_campaign(&base).unwrap();
+    for threads in [2usize, 8] {
+        let r = run_campaign(&CampaignPlan {
+            threads,
+            ..base.clone()
+        })
+        .unwrap();
+        assert_eq!(one.digest(), r.digest(), "digest moved at {threads} threads");
+        assert_eq!(one.fleet.per_device, r.fleet.per_device, "rows moved at {threads} threads");
+    }
+    for (ci, c) in one.classes.iter().enumerate() {
+        assert_eq!(c.devices, 1, "class {ci} device count");
+    }
+}
+
 /// Per-class accounting is conserved: each staged wave's device count
 /// lands in exactly its own class row, unstaged classes stay zero, and
 /// attacked-window totals match devices × positive windows.
