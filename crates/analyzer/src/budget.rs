@@ -113,13 +113,14 @@ pub fn tsetlin_model_bytes(version: Version) -> usize {
     )
 }
 
-/// Per-device slab swap state for a flavor/backend pair: the encoded
-/// [`sift::checkpoint::DetectorCheckpoint`] a device occupies while
-/// swapped out of the slab engine's worker slots (`wiot::slab`) — the
+/// Per-device checkpoint state for a flavor/backend pair: the encoded
+/// [`sift::checkpoint::DetectorCheckpoint`] one device persists — the
 /// 16-byte checkpoint header plus the backend's self-describing model
-/// blob. This is the O(1) per-device residency the streaming fleet
-/// engine's memory claim rests on, so the budget pass certifies it the
-/// same way it certifies the on-device footprints.
+/// blob. A device's whole detector state must fit one FRAM checkpoint
+/// slot, so the budget pass certifies it the same way it certifies the
+/// on-device footprints. (The `slab` name, and the `"slab"` section of
+/// the footprint report, predate the streamed fleet engine dropping its
+/// per-device checkpoint swap; both are kept for report stability.)
 pub fn slab_state_bytes(version: Version) -> usize {
     sift::checkpoint::HEADER_BYTES + model_bytes(version)
 }
@@ -129,10 +130,9 @@ pub fn tsetlin_slab_state_bytes(version: Version) -> usize {
     sift::checkpoint::HEADER_BYTES + tsetlin_model_bytes(version)
 }
 
-/// Gate every backend's slab swap state against the FRAM checkpoint
-/// slot payload: a swapped-out device must fit the same NVRAM slot a
-/// brownout checkpoint uses, or the slab's "swap through the codec"
-/// story silently diverges from what the device could actually persist.
+/// Gate every backend's per-device checkpoint state against the FRAM
+/// checkpoint slot payload: a detector that does not fit one NVRAM slot
+/// cannot survive a brownout.
 pub fn slab_findings() -> Vec<Finding> {
     let mut out = Vec::new();
     for version in Version::ALL {
@@ -146,7 +146,7 @@ pub fn slab_findings() -> Vec<Finding> {
                     "<budget>",
                     0,
                     format!(
-                        "{version}/{backend}: slab swap state {bytes} B exceeds the \
+                        "{version}/{backend}: checkpoint state {bytes} B exceeds the \
                          {MAX_PAYLOAD_BYTES} B checkpoint slot payload"
                     ),
                 ));
@@ -366,8 +366,8 @@ pub fn footprint_json(
             tsetlin_model_bytes(version),
         ));
     }
-    // Slab swap-state table: what one swapped-out device costs the
-    // streaming fleet engine, per flavor and backend.
+    // Per-device checkpoint-state table, per flavor and backend (kept
+    // under the report's `slab` key).
     let mut slab_rows = String::new();
     for (i, &version) in Version::ALL.iter().enumerate() {
         if i > 0 {
@@ -512,9 +512,9 @@ mod tests {
 
     #[test]
     fn slab_state_fits_every_checkpoint_slot() {
-        // The slab engine swaps devices through the same checkpoint
-        // container brownout persistence uses; every flavor/backend
-        // pair must fit, and the pass reports no violations today.
+        // Every flavor/backend pair's checkpoint must fit the container
+        // brownout persistence uses, and the pass reports no violations
+        // today.
         for version in Version::ALL {
             assert_eq!(
                 slab_state_bytes(version),

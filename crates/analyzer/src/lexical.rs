@@ -320,7 +320,7 @@ mod tests {
             "every finding routes to the dedicated rule, got {hits:?}"
         );
         // Neighboring wiot modules stay ordinary library code.
-        let lib = findings("crates/wiot/src/adaptive.rs", src);
+        let lib = findings("crates/wiot/src/sink.rs", src);
         assert!(!lib.contains(&"survival-embedded-profile"));
     }
 

@@ -22,12 +22,12 @@ const APP_CODE_PREFIX: &str = "crates/amulet-sim/src/apps/";
 /// `criterion`) are test/bench infrastructure, not report paths.
 const DET_EXEMPT_CRATES: &[&str] = &["bench", "rand", "proptest", "criterion"];
 
-/// The files allowed to touch thread APIs: the resident fleet engine,
-/// whose ordered reduction makes its use of `std::thread::scope` +
-/// `mpsc` deterministic by construction, and the slab streaming engine,
-/// whose bounded reorder window retires summaries in the same
-/// device-index order.
-const THREAD_OK: &[&str] = &["crates/wiot/src/fleet.rs", "crates/wiot/src/slab.rs"];
+/// The one file allowed to touch thread APIs: the fleet engine, whose
+/// ordered-parallel core folds results strictly in index order, which
+/// makes its use of `std::thread::scope` deterministic by construction.
+/// Every other parallel caller (streamed fleets, campaign enrollment)
+/// goes through that core.
+const THREAD_OK: &[&str] = &["crates/wiot/src/fleet.rs"];
 
 /// Crates under the warn-level library panic-hygiene rule.
 const LIB_NO_PANIC_CRATES: &[&str] = &["wiot", "sift", "analyzer", "telemetry"];
@@ -234,10 +234,11 @@ mod tests {
         assert!(app.embedded && !app.float_strict);
         let fleet = classify("crates/wiot/src/fleet.rs");
         assert!(fleet.thread_ok && fleet.lib_no_panic);
-        // The slab streaming engine is the second audited parallel
-        // boundary; everything else about it stays under library rules.
+        // The streamed entry points run on the fleet engine's core and
+        // spawn nothing themselves: ordinary library rules, no thread
+        // APIs.
         let slab = classify("crates/wiot/src/slab.rs");
-        assert!(slab.thread_ok && slab.lib_no_panic && !slab.det_exempt);
+        assert!(!slab.thread_ok && slab.lib_no_panic && !slab.det_exempt);
         let bench = classify("crates/bench/src/bin/fleet.rs");
         assert!(bench.det_exempt);
         let plain = classify("crates/physio-sim/src/record.rs");
@@ -265,7 +266,7 @@ mod tests {
         assert_eq!(surv.pinned_rule, Some("survival-embedded-profile"));
         assert!(surv.float_strict && surv.embedded);
         assert!(!surv.lib_no_panic, "survival rule supersedes lib hygiene");
-        let wiot_lib = classify("crates/wiot/src/adaptive.rs");
+        let wiot_lib = classify("crates/wiot/src/sink.rs");
         assert!(wiot_lib.pinned_rule.is_none() && !wiot_lib.embedded && wiot_lib.lib_no_panic);
         // The campaign engine is ordinary deterministic library code:
         // full determinism scanning (no RNG escape hatches), no thread

@@ -1,5 +1,5 @@
-//! Extra-large fleet bench: drive ≥100 000 devices through the slab
-//! streaming engine ([`wiot::slab`]) and prove the bounded-memory and
+//! Extra-large fleet bench: drive ≥100 000 devices through the streamed
+//! fleet entry point ([`wiot::slab`]) and prove the bounded-memory and
 //! determinism claims at scale.
 //!
 //! Run: `cargo run --release -p bench --bin fleet_xl -- --devices 100000
@@ -84,8 +84,7 @@ fn parse_args() -> Args {
 }
 
 /// The throughput-first fleet spec: `Reduced` flavor, turbo synthesis,
-/// no FRAM persistence (the slab's checkpoint swap still exercises the
-/// codec on every device).
+/// no FRAM persistence.
 fn xl_spec(args: &Args, threads: usize) -> FleetSpec {
     let mut spec = FleetSpec::new(args.devices, args.duration_s)
         .with_threads(threads)
@@ -210,13 +209,11 @@ fn main() {
         rep.simulated_device_s, sim_wall_s, throughput, speedup
     );
     println!(
-        "windows scored {} (sink flagged {}), recovery {:.3}, outliers {}, \
-         retired checkpoint bytes {}",
+        "windows scored {} (sink flagged {}), recovery {:.3}, outliers {}",
         rep.windows_scored,
         rep.sink_flagged,
         rep.mean_window_recovery,
         rep.outliers.len(),
-        headline.retired_checkpoint_bytes
     );
 
     let json = format!(
@@ -227,7 +224,7 @@ fn main() {
          \"sim_wall_s\": {:.3},\n  \"throughput_device_s_per_wall_s\": {:.1},\n  \
          \"speedup_vs_resident_baseline\": {:.2},\n  \"slab_digest\": \"{:#018x}\",\n  \
          \"window_cap\": {},\n  \"pending_high_water\": {},\n  \
-         \"retired_checkpoint_bytes\": {},\n  \"windows_scored\": {},\n  \
+         \"windows_scored\": {},\n  \
          \"sink_flagged\": {},\n  \"dropped_windows\": {},\n  \"salvaged_windows\": {},\n  \
          \"mean_window_recovery\": {:.6},\n  \"detections\": {},\n  \"stall_alerts\": {},\n  \
          \"outliers\": {},\n  \"mean_battery_left\": {:.6}\n}}\n",
@@ -245,7 +242,6 @@ fn main() {
         headline.slab_digest,
         headline.window_cap,
         headline.pending_high_water,
-        headline.retired_checkpoint_bytes,
         rep.windows_scored,
         rep.sink_flagged,
         rep.dropped_windows,

@@ -8,14 +8,13 @@
 //! * [`scaler`] — feature standardization,
 //! * [`linear_svm`] — L1-loss linear SVM trained by dual coordinate
 //!   descent (the liblinear algorithm),
-//! * [`smo`] — a kernelized SMO trainer (linear/RBF/polynomial) used to
-//!   back the paper's "SVM performed best among the algorithms we tried"
-//!   comparison,
+//! * [`smo`] — a kernelized SMO trainer (linear/RBF/polynomial), the
+//!   oracle the dual coordinate-descent trainer is cross-checked
+//!   against,
 //! * [`baseline`] — logistic regression, k-NN and nearest-centroid
 //!   comparison classifiers,
 //! * [`metrics`] — FP rate / FN rate / accuracy / F1 exactly as defined in
 //!   the paper's §IV, plus precision, recall, and ROC-AUC,
-//! * [`crossval`] — k-fold cross-validation,
 //! * [`embedded`] — the flat, `f32` "translated" model representation
 //!   deployed on the simulated Amulet, including a byte-level codec,
 //! * [`tsetlin`] — an integer-only Tsetlin machine backend (clause
@@ -49,7 +48,6 @@
 
 pub mod backend;
 pub mod baseline;
-pub mod crossval;
 pub mod dataset;
 pub mod embedded;
 pub mod linear_svm;
@@ -57,7 +55,6 @@ pub mod metrics;
 pub mod scaler;
 pub mod smo;
 pub mod tsetlin;
-pub mod tune;
 
 mod error;
 

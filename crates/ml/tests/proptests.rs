@@ -144,20 +144,6 @@ proptest! {
             prop_assert!(w[1].threshold >= w[0].threshold || w[0].threshold == f64::NEG_INFINITY);
         }
     }
-
-    #[test]
-    fn kfold_is_a_partition(n in 4usize..200, k in 2usize..8, seed in any::<u64>()) {
-        prop_assume!(k <= n);
-        let folds = ml::crossval::k_folds(n, k, seed).unwrap();
-        let mut seen = vec![false; n];
-        for f in &folds {
-            for &i in &f.test {
-                prop_assert!(!seen[i], "index {i} in two test folds");
-                seen[i] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
-    }
 }
 
 /// Cross-validation of the two SVM trainers: on separable data the dual

@@ -32,7 +32,7 @@
 use crate::attacker::{AttackMode, ATTACK_CLASS_COUNT, ATTACK_CLASS_NAMES};
 use crate::channel::LossModel;
 use crate::fleet::{
-    device_seed, ordered_fan_out, run_fleet_provisioned, DeviceProvision, FleetProvisioner,
+    device_seed, ordered_fold, run_fleet_provisioned, DeviceProvision, FleetProvisioner,
     FleetReport, FleetSpec,
 };
 use crate::scenario::{AttackSpec, Scenario};
@@ -563,9 +563,13 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, WiotError> {
     let pool: Vec<usize> = (0..plan.victim_pool)
         .map(|i| i * plan.population_size / plan.victim_pool)
         .collect();
-    let models = ordered_fan_out(pool.len(), plan.threads, |slot| {
-        enroll_victim(plan, &subjects, pool[slot], &template)
-    })?;
+    let mut models = Vec::with_capacity(pool.len());
+    ordered_fold(
+        pool.len(),
+        plan.threads,
+        |slot| enroll_victim(plan, &subjects, pool[slot], &template),
+        |model| models.push(model),
+    )?;
 
     let spec = FleetSpec {
         devices: plan.devices(),

@@ -1,9 +1,12 @@
 //! Fleet-scale parallel scenario engine.
 //!
 //! Simulates N wearable devices — each a full sensors → channel/ARQ →
-//! base-station → SIFT pipeline ([`crate::scenario::DeviceSim`]) —
-//! sharded across an owned `std::thread` worker pool, and reduces the
-//! per-device results into one [`FleetReport`].
+//! base-station → SIFT pipeline ([`crate::scenario::DeviceSim`]) — on
+//! an owned `std::thread` worker pool, and reduces the per-device
+//! results into one [`FleetReport`]. The pool lives in one private
+//! core, `ordered_fold`, the only place in the crate that spawns
+//! threads; [`run_fleet_provisioned`] keeps every device's row and
+//! [`crate::slab::run_fleet_streamed_provisioned`] keeps none.
 //!
 //! # Determinism under parallelism
 //!
@@ -16,8 +19,8 @@
 //!    device's behaviour never depends on which worker ran it or in
 //!    what order.
 //! 2. Workers never share mutable state: each device sim is an owned,
-//!    `Send` value, and workers only report immutable summaries back
-//!    over a channel.
+//!    `Send` value, and workers only hand immutable summaries to a
+//!    bounded reorder buffer.
 //! 3. The reduction folds summaries strictly in device-index order
 //!    (floating-point accumulation order is fixed), and nothing
 //!    wall-clock-dependent enters the report — throughput numbers live
@@ -47,7 +50,9 @@ use ml::metrics::ConfusionMatrix;
 use ml::{DetectorBackend, DetectorModel, Label};
 use physio_sim::subject::{bank, Subject};
 use sift::trainer::{ModelBank, SiftModel};
-use std::sync::mpsc;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// SplitMix64 output function (same constants as the vendored
@@ -104,7 +109,7 @@ impl FleetSpec {
 
     /// Builder-style thread count, clamped to `1..=devices` at
     /// construction time so a zero or oversized request can never reach
-    /// the engines (both clamp again defensively, but the spec a caller
+    /// the engine (it clamps again defensively, but the spec a caller
     /// inspects should already be honest).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -276,8 +281,8 @@ pub struct FleetReport {
 
 /// FNV-1a (64-bit) over a canonical encoding: `u64`s little-endian,
 /// `f64`s via `to_bits`. Not cryptographic — a regression tripwire.
-/// `pub(crate)` so the slab engine can fold the identical per-device
-/// encoding while streaming ([`crate::slab`]).
+/// `pub(crate)` so a streamed run can fold the identical per-device
+/// encoding as it retires rows ([`crate::slab`]).
 pub(crate) struct Digest(pub(crate) u64);
 
 impl Digest {
@@ -343,7 +348,7 @@ impl Digest {
 
 /// Fold one device summary into `d` — the per-device portion of the
 /// canonical digest encoding, shared between [`FleetReport::digest`],
-/// [`FleetReport::slab_digest`] and the slab engine's streaming fold.
+/// [`FleetReport::slab_digest`] and the streamed run's fold.
 pub(crate) fn digest_device(d: &mut Digest, s: &DeviceSummary) {
     d.usize(s.device);
     d.usize(s.victim);
@@ -425,11 +430,11 @@ impl FleetReport {
     /// The streaming-order digest: per-device entries first (index
     /// order), then the device count, then the aggregates. This is the
     /// ordering a bounded-memory engine can compute without ever
-    /// holding `per_device` — the slab engine folds each summary as it
+    /// holding `per_device` — a streamed run folds each summary as it
     /// retires and appends the aggregates at the end
-    /// ([`crate::slab::run_fleet_streamed`]). On a resident report this
+    /// ([`crate::slab::run_fleet_streamed`]). On a rows-kept report this
     /// method produces the identical value from the stored summaries,
-    /// which is how the equivalence tests compare the two engines.
+    /// which is how the equivalence tests compare the two entry points.
     pub fn slab_digest(&self) -> u64 {
         let mut d = Digest::new();
         for s in &self.per_device {
@@ -475,12 +480,39 @@ pub trait FleetProvisioner: Sync {
 }
 
 /// The legacy provisioning policy: victims round-robin over the
-/// subject bank, models shared from a pre-trained [`ModelBank`].
-/// `pub(crate)` so the slab engine's bank entry point reuses it
-/// ([`crate::slab::run_fleet_streamed`]).
+/// subject bank, models shared from a pre-trained [`ModelBank`]. Both
+/// bank entry points ([`run_fleet_with_bank`] and
+/// [`crate::slab::run_fleet_streamed`]) build it through
+/// [`BankProvisioner::new`], the one place the bank is checked against
+/// the template.
 pub(crate) struct BankProvisioner<'b> {
-    pub(crate) models: &'b ModelBank,
-    pub(crate) subjects_len: usize,
+    models: &'b ModelBank,
+    subjects_len: usize,
+}
+
+impl<'b> BankProvisioner<'b> {
+    /// Provision `spec`'s devices from `models`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WiotError::InvalidScenario`] when the bank's detector
+    /// version or backend does not match the fleet template.
+    pub(crate) fn new(spec: &FleetSpec, models: &'b ModelBank) -> Result<Self, WiotError> {
+        if models.version() != spec.template.version {
+            return Err(WiotError::InvalidScenario {
+                reason: "model bank version does not match the fleet template",
+            });
+        }
+        if models.kind() != spec.template.backend {
+            return Err(WiotError::InvalidScenario {
+                reason: "model bank backend does not match the fleet template",
+            });
+        }
+        Ok(Self {
+            models,
+            subjects_len: bank().len(),
+        })
+    }
 }
 
 impl FleetProvisioner for BankProvisioner<'_> {
@@ -508,9 +540,9 @@ impl FleetProvisioner for BankProvisioner<'_> {
     }
 }
 
-/// Simulate one device of the fleet: provision it, run it, and
-/// batch-score its uplinked features at the sink.
-fn simulate_device(
+/// Provision device `device`, run it end-to-end, and batch-score its
+/// uplinked features at the sink.
+fn run_device(
     spec: &FleetSpec,
     prov: &dyn FleetProvisioner,
     device: usize,
@@ -521,29 +553,13 @@ fn simulate_device(
         model,
         deployed,
     } = prov.provision(spec, device)?;
-    simulate_provisioned(spec.telemetry, device, scenario, subject, model, deployed)
-}
-
-/// Run one already-provisioned device end-to-end and batch-score its
-/// uplinked features at the sink. Shared between [`simulate_device`]
-/// and the slab engine, which calls it with the detector model it just
-/// round-tripped through the checkpoint codec rather than the
-/// provisioner's reference ([`crate::slab`]).
-pub(crate) fn simulate_provisioned(
-    telemetry: bool,
-    device: usize,
-    scenario: Scenario,
-    subject: Option<&Subject>,
-    model: Option<&SiftModel>,
-    deployed: &DetectorModel,
-) -> Result<DeviceSummary, WiotError> {
     let mut sim = DeviceSim::with_options(
         &scenario,
         DeviceOptions {
             model,
             deployed: Some(deployed),
             feature_uplink: true,
-            telemetry,
+            telemetry: spec.telemetry,
             subject,
         },
     )?;
@@ -599,11 +615,11 @@ pub(crate) fn simulate_provisioned(
 /// device-index order**, then [`Reducer::finish`]. The fold is the
 /// exact sequential accumulation the fleet digest was frozen over —
 /// f64 accumulation order never depends on how many threads produced
-/// the summaries — and because it is incremental the slab engine can
+/// the summaries — and because it is incremental a streamed run can
 /// retire each summary right after folding it instead of keeping the
 /// whole fleet resident ([`crate::slab`]).
 #[derive(Default)]
-pub(crate) struct Reducer {
+struct Reducer {
     count: usize,
     confusion: ConfusionMatrix,
     ambiguous: usize,
@@ -626,7 +642,7 @@ pub(crate) struct Reducer {
 }
 
 impl Reducer {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             margin_min: f64::INFINITY,
             ..Self::default()
@@ -635,7 +651,7 @@ impl Reducer {
 
     /// Fold one device into the aggregate. Summaries must arrive in
     /// device-index order.
-    pub(crate) fn push(&mut self, s: &DeviceSummary) {
+    fn push(&mut self, s: &DeviceSummary) {
         self.count += 1;
         self.confusion.tp += s.confusion.tp;
         self.confusion.fp += s.confusion.fp;
@@ -706,16 +722,9 @@ impl Reducer {
         }
     }
 
-    /// Close the fold into a [`FleetReport`]. `per_device` is whatever
-    /// the caller kept resident — the full vector for the legacy
-    /// engine, empty for the slab engine (the aggregates always cover
-    /// every pushed device either way).
-    pub(crate) fn finish(
-        self,
-        seed: u64,
-        duration_s: f64,
-        per_device: Vec<DeviceSummary>,
-    ) -> FleetReport {
+    /// Close the fold into a [`FleetReport`] with an empty
+    /// `per_device`; a caller that kept rows moves them in afterwards.
+    fn finish(self, seed: u64, duration_s: f64) -> FleetReport {
         let devices = self.count;
         FleetReport {
             devices,
@@ -751,20 +760,260 @@ impl Reducer {
             faults: self.faults,
             telemetry: self.telemetry,
             outliers: self.outliers,
-            per_device,
+            per_device: Vec::new(),
         }
     }
 }
 
-/// Fold per-device summaries (already in device-index order) into the
-/// fleet aggregate. Pure and sequential: f64 accumulation order is
-/// fixed regardless of how many threads produced the summaries.
-fn reduce(spec: &FleetSpec, summaries: Vec<DeviceSummary>) -> FleetReport {
-    let mut r = Reducer::new();
-    for s in &summaries {
-        r.push(s);
+/// How much of the fleet the core held at once during a run.
+pub(crate) struct Residency {
+    /// Worker threads actually used (requested count clamped to
+    /// `1..=n`).
+    pub(crate) workers: usize,
+    /// Maximum results the reorder window may hold (`workers × 4`).
+    pub(crate) window_cap: usize,
+    /// Most results that were ever pending at once, always
+    /// `≤ window_cap`.
+    pub(crate) high_water: usize,
+}
+
+/// Reorder buffer between the unordered workers and the in-order
+/// folder.
+struct FoldState<T> {
+    /// Finished results waiting to become contiguous.
+    pending: BTreeMap<usize, T>,
+    /// Next index the folder will retire.
+    next_fold: usize,
+    /// Lowest-index error seen so far.
+    error: Option<(usize, WiotError)>,
+    /// Largest `pending.len()` ever observed.
+    high_water: usize,
+}
+
+/// Everything the workers and the folder share.
+struct Shared<T> {
+    /// Monotone job-claim cursor.
+    cursor: AtomicUsize,
+    fold: Mutex<FoldState<T>>,
+    /// Workers wait here for the claim window to reach their index (or
+    /// for an error at or below it).
+    can_claim: Condvar,
+    /// The folder waits here for the next contiguous result (or an
+    /// error at exactly `next_fold`).
+    ready: Condvar,
+    window_cap: usize,
+}
+
+impl<T> Shared<T> {
+    fn fold_state(&self) -> MutexGuard<'_, FoldState<T>> {
+        self.fold.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    r.finish(spec.seed, spec.template.duration_s, summaries)
+
+    /// Block until index `i` is inside the claim window; `false` means
+    /// an error at or below `i` made its result irrelevant. Bounds the
+    /// reorder buffer: `i < next_fold + window_cap` at proceed time and
+    /// `next_fold` only grows, so every pending index stays within
+    /// `window_cap` of the fold frontier.
+    fn wait_for_window(&self, i: usize) -> bool {
+        let mut st = self.fold_state();
+        loop {
+            if st.error.as_ref().is_some_and(|(e, _)| *e <= i) {
+                return false;
+            }
+            if i < st.next_fold + self.window_cap {
+                return true;
+            }
+            st = self
+                .can_claim
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Hand index `i`'s result to the folder.
+    fn deliver(&self, i: usize, value: T) {
+        let mut st = self.fold_state();
+        // A result at or above a recorded error will never be folded.
+        if st.error.as_ref().is_none_or(|(e, _)| *e > i) {
+            st.pending.insert(i, value);
+            st.high_water = st.high_water.max(st.pending.len());
+        }
+        self.ready.notify_all();
+    }
+
+    /// Record index `i`'s error; the lowest index wins.
+    fn fail(&self, i: usize, err: WiotError) {
+        let mut st = self.fold_state();
+        if st.error.as_ref().is_none_or(|(e, _)| i < *e) {
+            st.error = Some((i, err));
+            // Results above the error are dead weight; drop them now.
+            st.pending.split_off(&i);
+        }
+        // Wake everyone: waiting claimants may now skip, and the folder
+        // may now be looking at the erroring index.
+        self.can_claim.notify_all();
+        self.ready.notify_all();
+    }
+
+    /// Block until the result at index `next` is ready and take it, or
+    /// return the error recorded at exactly `next`.
+    fn await_next(&self, next: usize) -> Result<T, WiotError> {
+        let mut st = self.fold_state();
+        loop {
+            if let Some((e, err)) = &st.error {
+                if *e == next {
+                    return Err(err.clone());
+                }
+            }
+            if let Some(value) = st.pending.remove(&next) {
+                st.next_fold = next + 1;
+                // The claim window just moved: wake waiters.
+                self.can_claim.notify_all();
+                return Ok(value);
+            }
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Records `index` as failed if the thread holding it unwinds, so a
+/// panicking job or folder can never leave the other side waiting on a
+/// result that will not come. The worker scope then re-raises the
+/// panic.
+struct FailOnUnwind<'s, T> {
+    shared: &'s Shared<T>,
+    index: usize,
+}
+
+impl<T> Drop for FailOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.shared.fail(
+                self.index,
+                WiotError::InvalidScenario {
+                    reason: "fleet worker panicked",
+                },
+            );
+        }
+    }
+}
+
+/// The crate's one ordered-parallel mechanism: run `job(i)` for every
+/// `i` in `0..n` on up to `threads` scoped workers and feed each result
+/// to `fold` strictly in index order, on the calling thread. Fleets
+/// simulate devices through it and the campaign engine enrolls its
+/// victim pool through it.
+///
+/// Workers claim indices from a shared cursor (dynamic load balance),
+/// but a worker may only start index `i` once `i < next_fold +
+/// workers × 4`, so at most that many finished results ever wait in the
+/// reorder buffer. Because `fold` sees results in index order, its
+/// output never depends on the thread count or the schedule.
+///
+/// A panicking `job` fails its index (a panicking `fold`, index 0)
+/// before unwinding, so the run winds down and the worker scope
+/// re-raises the panic instead of deadlocking.
+///
+/// # Errors
+///
+/// Returns the lowest-index job error, deterministically regardless of
+/// which worker hit it first. Workers holding lower indices keep
+/// running after an error is recorded (a lower-index error may still
+/// surface); workers claiming indices at or above it skip out.
+pub(crate) fn ordered_fold<T, J, F>(
+    n: usize,
+    threads: usize,
+    job: J,
+    mut fold: F,
+) -> Result<Residency, WiotError>
+where
+    T: Send,
+    J: Fn(usize) -> Result<T, WiotError> + Sync,
+    F: FnMut(T),
+{
+    let workers = threads.clamp(1, n.max(1));
+    let shared = Shared {
+        cursor: AtomicUsize::new(0),
+        fold: Mutex::new(FoldState {
+            pending: BTreeMap::new(),
+            next_fold: 0,
+            error: None,
+            high_water: 0,
+        }),
+        can_claim: Condvar::new(),
+        ready: Condvar::new(),
+        window_cap: workers * 4,
+    };
+    let worker = || loop {
+        let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n || !shared.wait_for_window(i) {
+            return;
+        }
+        let guard = FailOnUnwind {
+            shared: &shared,
+            index: i,
+        };
+        let result = job(i);
+        drop(guard);
+        match result {
+            Ok(value) => shared.deliver(i, value),
+            Err(e) => return shared.fail(i, e),
+        }
+    };
+    let folded = thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(worker);
+        }
+        // A panicking fold fails index 0, so every waiting claimant
+        // skips out.
+        let _guard = FailOnUnwind {
+            shared: &shared,
+            index: 0,
+        };
+        (0..n).try_for_each(|next| shared.await_next(next).map(&mut fold))
+    });
+    folded?;
+    let high_water = shared.fold_state().high_water;
+    Ok(Residency {
+        workers,
+        window_cap: shared.window_cap,
+        high_water,
+    })
+}
+
+/// Run every device of `spec` through [`ordered_fold`]: fold each
+/// summary into the aggregates in device-index order, then hand it to
+/// `retire`, which decides whether the row is kept. The returned
+/// report's `per_device` is empty.
+///
+/// # Errors
+///
+/// Returns [`WiotError::InvalidScenario`] for an empty fleet and
+/// propagates the lowest-device-index provisioning or simulation error.
+pub(crate) fn fold_fleet(
+    spec: &FleetSpec,
+    prov: &dyn FleetProvisioner,
+    mut retire: impl FnMut(DeviceSummary),
+) -> Result<(FleetReport, Residency), WiotError> {
+    if spec.devices == 0 {
+        return Err(WiotError::InvalidScenario {
+            reason: "fleet must have at least one device",
+        });
+    }
+    let mut reducer = Reducer::new();
+    let residency = ordered_fold(
+        spec.devices,
+        spec.threads,
+        |device| run_device(spec, prov, device),
+        |summary| {
+            reducer.push(&summary);
+            retire(summary);
+        },
+    )?;
+    Ok((
+        reducer.finish(spec.seed, spec.template.duration_s),
+        residency,
+    ))
 }
 
 /// Run a fleet with a pre-trained [`ModelBank`] (callers comparing
@@ -773,32 +1022,19 @@ fn reduce(spec: &FleetSpec, summaries: Vec<DeviceSummary>) -> FleetReport {
 /// # Errors
 ///
 /// Returns [`WiotError::InvalidScenario`] for an empty fleet or a bank
-/// whose detector version does not match the template, and propagates
-/// the lowest-device-index simulation error (deterministic regardless
-/// of which worker hit it first).
+/// whose detector version or backend does not match the template, and
+/// propagates the lowest-device-index simulation error (deterministic
+/// regardless of which worker hit it first).
 pub fn run_fleet_with_bank(spec: &FleetSpec, models: &ModelBank) -> Result<FleetReport, WiotError> {
-    if models.version() != spec.template.version {
-        return Err(WiotError::InvalidScenario {
-            reason: "model bank version does not match the fleet template",
-        });
-    }
-    if models.kind() != spec.template.backend {
-        return Err(WiotError::InvalidScenario {
-            reason: "model bank backend does not match the fleet template",
-        });
-    }
-    let prov = BankProvisioner {
-        models,
-        subjects_len: bank().len(),
-    };
-    run_fleet_provisioned(spec, &prov)
+    run_fleet_provisioned(spec, &BankProvisioner::new(spec, models)?)
 }
 
-/// Run a fleet through an arbitrary [`FleetProvisioner`] — the engine
-/// core. Owns the worker pool, the static device sharding, and the
-/// index-ordered reduction; everything device-specific comes from the
-/// provisioner. The thread-count-invariance guarantee holds for any
-/// provisioner that is a pure function of `(spec, device)`.
+/// Run a fleet through an arbitrary [`FleetProvisioner`], keeping every
+/// device's summary in [`FleetReport::per_device`]. Everything
+/// device-specific comes from the provisioner; the thread-count
+/// invariance guarantee holds for any provisioner that is a pure
+/// function of `(spec, device)`. [`crate::slab::run_fleet_streamed_provisioned`]
+/// runs the same engine without keeping rows.
 ///
 /// # Errors
 ///
@@ -809,66 +1045,10 @@ pub fn run_fleet_provisioned(
     spec: &FleetSpec,
     prov: &dyn FleetProvisioner,
 ) -> Result<FleetReport, WiotError> {
-    if spec.devices == 0 {
-        return Err(WiotError::InvalidScenario {
-            reason: "fleet must have at least one device",
-        });
-    }
-    let summaries = ordered_fan_out(spec.devices, spec.threads, |device| {
-        simulate_device(spec, prov, device)
-    })?;
-    Ok(reduce(spec, summaries))
-}
-
-/// Run `job(i)` for every `i` in `0..n` on up to `threads` scoped
-/// workers (clamped to `1..=n`) and return the results in index order.
-/// The one ordered-parallel mechanism of the crate: the resident fleet
-/// engine simulates devices through it, and the campaign engine enrolls
-/// its victim pool through it.
-///
-/// Worker `w` owns indices `w, w+T, w+2T, …`; any partition would do,
-/// because results land in index-addressed slots and are read back in
-/// index order, so the output never depends on the thread count or the
-/// schedule.
-///
-/// # Errors
-///
-/// Returns the lowest-index job error (deterministic regardless of which
-/// worker hit it first), or [`WiotError::InvalidScenario`] if a worker
-/// ended without reporting an index.
-pub(crate) fn ordered_fan_out<T, F>(n: usize, threads: usize, job: F) -> Result<Vec<T>, WiotError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, WiotError> + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    let mut slots: Vec<Option<Result<T, WiotError>>> = (0..n).map(|_| None).collect();
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel();
-        for worker in 0..threads {
-            let tx = tx.clone();
-            let job = &job;
-            scope.spawn(move || {
-                for i in (worker..n).step_by(threads) {
-                    if tx.send((i, job(i))).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, result) in rx {
-            slots[i] = Some(result);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or(Err(WiotError::InvalidScenario {
-                reason: "fan-out worker terminated without reporting",
-            }))
-        })
-        .collect()
+    let mut rows = Vec::with_capacity(spec.devices);
+    let (mut report, _) = fold_fleet(spec, prov, |summary| rows.push(summary))?;
+    report.per_device = rows;
+    Ok(report)
 }
 
 /// Train the model bank for `spec` (one model per subject, shared
@@ -904,11 +1084,22 @@ mod tests {
         assert!((0..256).all(|i| device_seed(43, i) != seeds[i]));
     }
 
+    /// Collect [`ordered_fold`]'s results in fold order.
+    fn fan_out<T: Send>(
+        n: usize,
+        threads: usize,
+        job: impl Fn(usize) -> Result<T, WiotError> + Sync,
+    ) -> Result<Vec<T>, WiotError> {
+        let mut out = Vec::with_capacity(n);
+        ordered_fold(n, threads, job, |v| out.push(v))?;
+        Ok(out)
+    }
+
     #[test]
     fn fan_out_returns_results_in_index_order() {
         for n in [0usize, 1, 2, 5, 17] {
             for threads in [1usize, 2, 3, 8] {
-                let out = ordered_fan_out(n, threads, |i| Ok(i * i)).unwrap();
+                let out = fan_out(n, threads, |i| Ok(i * i)).unwrap();
                 let expect: Vec<usize> = (0..n).map(|i| i * i).collect();
                 assert_eq!(out, expect, "n {n} threads {threads}");
             }
@@ -930,7 +1121,7 @@ mod tests {
         for n in [4usize, 5, 12, 30] {
             for threads in [1usize, 2, 3, 8] {
                 assert_eq!(
-                    ordered_fan_out(n, threads, fail_at),
+                    fan_out(n, threads, fail_at),
                     Err(WiotError::RetryBudgetExhausted {
                         stream: crate::device::Stream::Ecg,
                         seq: 3,
@@ -941,7 +1132,7 @@ mod tests {
         }
         // Fewer jobs than threads, all failing: index 0 still wins.
         for threads in [1usize, 2, 3, 8] {
-            let err = ordered_fan_out(2, threads, |i| -> Result<(), WiotError> {
+            let err = fan_out(2, threads, |i| -> Result<(), WiotError> {
                 Err(WiotError::RetryBudgetExhausted {
                     stream: crate::device::Stream::Abp,
                     seq: i as u64,
@@ -955,6 +1146,25 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn panicking_fold_is_re_raised_not_deadlocked() {
+        // Far more jobs than the reorder window: without the fold's
+        // unwind guard, workers would wait forever for the window to
+        // move. Polled with a deadline so a regression fails, not hangs.
+        let run = thread::spawn(|| {
+            std::panic::catch_unwind(|| {
+                ordered_fold(64, 2, Ok, |i: usize| assert_ne!(i, 1, "injected fold panic"))
+            })
+            .is_err()
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while !run.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "core deadlocked on a panicking fold");
+            thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert!(run.join().unwrap(), "the fold's panic was swallowed");
     }
 
     #[test]
@@ -1075,14 +1285,14 @@ mod tests {
     #[test]
     fn builder_clamps_zero_and_oversized_threads() {
         // A zero request must not smuggle a divide-by-zero or an empty
-        // worker pool into the engines.
+        // worker pool into the engine.
         let spec = FleetSpec::new(4, 9.0).with_threads(0);
         assert_eq!(spec.threads, 1);
         // More workers than devices collapses to one per device.
         let spec = FleetSpec::new(4, 9.0).with_threads(64);
         assert_eq!(spec.threads, 4);
-        // Degenerate empty fleet still stores a sane count; the engines
-        // reject the empty fleet itself.
+        // Degenerate empty fleet still stores a sane count; the engine
+        // rejects the empty fleet itself.
         let spec = FleetSpec::new(0, 9.0).with_threads(8);
         assert_eq!(spec.threads, 1);
     }

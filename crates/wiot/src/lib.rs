@@ -30,22 +30,20 @@
 //! * [`basestation`] — the Amulet running the SIFT detector app on the
 //!   reassembled sensor streams,
 //! * [`sink`] — history storage and alert collection,
-//! * [`adaptive`] — the paper's Insight #4: a decision engine that picks
-//!   the detector version from static and dynamic resource constraints,
 //! * [`persist`] — crash-consistent checkpointing of the detector and
-//!   adaptive state to the simulated FRAM, so a brownout reboot resumes
-//!   detection without re-enrollment,
-//! * [`survival`] — the battery- and channel-aware graceful-degradation
-//!   policy: a closed loop that walks detector version, sampling duty
-//!   cycle, and transport retry budget down (and back up) with
-//!   hysteresis as charge drains and the link degrades,
+//!   survival-policy state to the simulated FRAM, so a brownout reboot
+//!   resumes detection without re-enrollment,
+//! * [`survival`] — the paper's Insight #4 (adaptive security) as a
+//!   battery- and channel-aware graceful-degradation policy: a closed
+//!   loop that walks detector version, sampling duty cycle, and
+//!   transport retry budget down (and back up) with hysteresis as
+//!   charge drains and the link degrades,
 //! * [`scenario`] — a deterministic scenario runner gluing everything
 //!   together and scoring detection performance end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod attacker;
 pub mod basestation;
 pub mod campaign;

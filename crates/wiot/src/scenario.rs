@@ -13,7 +13,6 @@ use crate::basestation::{BaseStation, WindowOutcome};
 use crate::channel::{Channel, ChannelConfig, ChannelStats, Delivery, LossModel};
 use crate::device::{SensorDevice, Stream};
 use crate::faults::{FaultPlan, FaultSummary};
-use crate::adaptive::LinkQuality;
 use crate::persist::Persistence;
 use crate::sink::Sink;
 use crate::survival::{
@@ -34,6 +33,34 @@ use sift::features::Version;
 use sift::trainer::SiftModel;
 use sift::zoo::{train_backend_for_subject, tsetlin_pairs};
 use telemetry::{CounterId, EventCode, GaugeId, Telemetry, TelemetryReport};
+
+/// Observed quality of the sensor → base-station links, as reported by
+/// the channel and ARQ layers; the survival policy's link input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkQuality {
+    /// Fraction of offered packets the channel lost, `[0, 1]`.
+    pub loss_rate: f64,
+    /// ARQ retransmissions per first-time data packet.
+    pub retransmit_rate: f64,
+}
+
+impl LinkQuality {
+    /// Scalar badness of the link as integer permille in `[0, 1000]`:
+    /// loss plus the energy drag of retransmissions (each retransmit
+    /// costs roughly one packet's airtime, so it weighs like loss,
+    /// capped). This is the fixed-point form the device-side survival
+    /// policy ([`crate::survival`]) consumes. Non-finite inputs
+    /// saturate to fully bad (a link whose statistics are broken should
+    /// not be trusted).
+    pub fn badness_permille(&self) -> u16 {
+        let b = (self.loss_rate + 0.5 * self.retransmit_rate).clamp(0.0, 1.0);
+        if b.is_finite() {
+            (b * 1000.0).round() as u16
+        } else {
+            1000
+        }
+    }
+}
 
 /// Wireless-link parameters for a scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]

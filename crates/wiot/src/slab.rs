@@ -1,66 +1,41 @@
-//! Slab-based streaming fleet engine: bounded-memory multiplexing of
-//! arbitrarily many devices over a small worker pool.
+//! Streamed fleet runs: bounded-memory multiplexing of arbitrarily many
+//! devices over a small worker pool.
 //!
-//! The resident engine ([`crate::fleet::run_fleet_provisioned`]) keeps
-//! one [`DeviceSummary`] per device until the final reduction, so a
-//! million-device fleet holds a million summaries (plus their telemetry
-//! snapshots) in memory at once. This module runs the **same** per-device
-//! simulation through a different harness: a fixed pool of workers pulls
-//! device indices from a shared cursor, each worker materializes one
-//! device at a time into its own reusable slab slot, and a single folder
-//! thread retires summaries in device-index order the moment they are
-//! contiguous. Resident state is O(workers), not O(devices):
+//! [`crate::fleet::run_fleet_provisioned`] keeps one [`DeviceSummary`]
+//! per device, so a million-device fleet would hold a million summaries
+//! (plus their telemetry snapshots) at once. The entry points here run
+//! the **same** engine — the crate's one ordered-parallel core, with
+//! its claim cursor, `workers × 4` reorder window and in-order fold —
+//! but keep no rows: each summary is folded into the aggregates and the
+//! streaming digest the moment it is contiguous, then dropped. Resident
+//! state is O(workers), not O(devices), and
+//! [`SlabReport::pending_high_water`] proves the window bound held.
 //!
-//! * **Claim window.** A worker may only claim device `i` once
-//!   `i < next_fold + window_cap` (`window_cap = workers × 4`), so the
-//!   reorder buffer between the unordered workers and the in-order
-//!   folder never holds more than `window_cap` summaries. The
-//!   [`SlabReport::pending_high_water`] counter proves the bound held.
-//! * **Checkpoint swap.** Each claim round-trips the provisioned
-//!   detector through the [`sift::checkpoint::DetectorCheckpoint`]
-//!   codec in the worker's reusable slot buffer — exactly the bytes a
-//!   real swap in/out of NVRAM-backed slab storage would move — and the
-//!   device runs on the *decoded* model, so every simulated device
-//!   exercises the codec's losslessness. On retirement the final
-//!   detector state (stream position, alerts) is encoded back out and
-//!   only [`SlabReport::retired_checkpoint_bytes`] remains.
-//! * **In-order fold.** The folder drives the same incremental
-//!   [`Reducer`](crate::fleet) fold and the same per-device digest
-//!   encoding as the resident engine, strictly in index order, so
-//!   aggregates are bit-identical to the resident engine's at any
-//!   worker count — the equivalence tests compare both engines through
-//!   [`FleetReport::slab_digest`].
+//! Aggregates are bit-identical to the rows-kept run at any worker
+//! count, and [`SlabReport::slab_digest`] equals
+//! [`FleetReport::slab_digest`] of the rows-kept report. Error
+//! semantics are the same too: the lowest-device-index provisioning or
+//! simulation error wins, deterministically.
 //!
-//! Error semantics match the resident engine: the lowest-device-index
-//! provisioning or simulation error wins, deterministically. Workers
-//! holding lower indices keep running after an error is recorded (a
-//! lower-index error may still surface); workers claiming indices at or
-//! above the recorded error skip out.
+//! [`DeviceSummary`]: crate::fleet::DeviceSummary
 
 use crate::fleet::{
-    digest_device, DeviceProvision, DeviceSummary, Digest, FleetProvisioner, FleetReport,
-    FleetSpec, Reducer,
+    digest_device, fold_fleet, BankProvisioner, Digest, FleetProvisioner, FleetReport, FleetSpec,
 };
 use crate::WiotError;
-use physio_sim::subject::bank;
-use sift::checkpoint::DetectorCheckpoint;
 use sift::trainer::ModelBank;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::thread;
 
 /// Result of a streamed fleet run: the familiar aggregates (with
-/// `per_device` deliberately empty) plus the slab engine's own
+/// `per_device` deliberately empty) plus the engine's residency
 /// accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlabReport {
-    /// Fleet aggregates, identical to the resident engine's fold. The
+    /// Fleet aggregates, identical to the rows-kept fold. The
     /// `per_device` vector is **empty** — per-device summaries were
     /// folded and retired, never accumulated.
     pub report: FleetReport,
     /// Streaming digest over every retired summary then the aggregates
-    /// (see [`FleetReport::slab_digest`] for the resident-side
+    /// (see [`FleetReport::slab_digest`] for the rows-kept
     /// counterpart).
     pub slab_digest: u64,
     /// Worker threads actually used (spec value clamped).
@@ -70,164 +45,12 @@ pub struct SlabReport {
     /// Most summaries that were ever pending at once — the measured
     /// residency, always `≤ window_cap`.
     pub pending_high_water: usize,
-    /// Total bytes of final detector checkpoints encoded at device
-    /// retirement (the swap-out traffic of a real slab store).
-    pub retired_checkpoint_bytes: u64,
 }
 
-/// Reorder buffer between unordered workers and the in-order folder.
-struct FoldState {
-    /// Finished summaries waiting to become contiguous, plus each
-    /// device's retired-checkpoint byte count.
-    pending: BTreeMap<usize, (DeviceSummary, u64)>,
-    /// Next device index the folder will retire.
-    next_fold: usize,
-    /// Lowest-index error seen so far.
-    error: Option<(usize, WiotError)>,
-    /// Largest `pending.len()` ever observed.
-    high_water: usize,
-}
-
-/// Everything the workers and the folder share.
-struct Shared {
-    /// Monotone device-claim cursor.
-    cursor: AtomicUsize,
-    fold: Mutex<FoldState>,
-    /// Workers wait here for the claim window to reach their index (or
-    /// for an error at or below it).
-    can_claim: Condvar,
-    /// The folder waits here for the next contiguous summary (or an
-    /// error at exactly `next_fold`).
-    ready: Condvar,
-    window_cap: usize,
-}
-
-/// What a worker learned while waiting for its claim window.
-enum Claim {
-    /// The window reached this index: simulate the device.
-    Proceed,
-    /// An error at or below this index makes the result irrelevant.
-    Skip,
-}
-
-impl Shared {
-    /// Block until device `i` is inside the claim window. Bounds the
-    /// reorder buffer: `i < next_fold + window_cap` at proceed time,
-    /// and `next_fold` only grows, so every pending index stays within
-    /// `window_cap` of the fold frontier.
-    fn wait_for_window(&self, i: usize) -> Claim {
-        let mut st = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some((e, _)) = &st.error {
-                if *e <= i {
-                    return Claim::Skip;
-                }
-            }
-            if i < st.next_fold + self.window_cap {
-                return Claim::Proceed;
-            }
-            st = self.can_claim.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Deliver device `i`'s summary to the folder.
-    fn deliver(&self, i: usize, summary: DeviceSummary, retired_bytes: u64) {
-        let mut st = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
-        // A result at or above a recorded error will never be folded.
-        let dead = st.error.as_ref().is_some_and(|(e, _)| *e <= i);
-        if !dead {
-            st.pending.insert(i, (summary, retired_bytes));
-            st.high_water = st.high_water.max(st.pending.len());
-        }
-        self.ready.notify_all();
-    }
-
-    /// Record device `i`'s error; the lowest index wins.
-    fn fail(&self, i: usize, err: WiotError) {
-        let mut st = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
-        let lower = st.error.as_ref().is_none_or(|(e, _)| i < *e);
-        if lower {
-            st.error = Some((i, err));
-            // Results above the error are dead weight; drop them now.
-            st.pending.split_off(&i);
-        }
-        // Wake everyone: waiting claimants may now skip, and the folder
-        // may now be looking at the erroring index.
-        self.can_claim.notify_all();
-        self.ready.notify_all();
-    }
-}
-
-/// Simulate one claimed device inside the worker's slab slot: swap the
-/// provisioned detector **in** through the checkpoint codec, run the
-/// device on the decoded model, then encode the final detector state
-/// back **out**, returning the summary and the swap-out byte count.
-fn run_one(
-    spec: &FleetSpec,
-    prov: &dyn FleetProvisioner,
-    device: usize,
-    slot: &mut Vec<u8>,
-) -> Result<(DeviceSummary, u64), WiotError> {
-    let DeviceProvision {
-        scenario,
-        subject,
-        model,
-        deployed,
-    } = prov.provision(spec, device)?;
-
-    // Swap-in: the provisioned model enters the slot as checkpoint
-    // bytes and the device runs on what decodes back out, so a codec
-    // regression breaks the slab digest, not just a unit test.
-    let swap_in = DetectorCheckpoint::new(scenario.version, deployed.clone())?;
-    if slot.len() < swap_in.encoded_len() {
-        slot.resize(swap_in.encoded_len(), 0);
-    }
-    let n = swap_in.encode_into(slot)?;
-    let mut resident = DetectorCheckpoint::decode(&slot[..n])?;
-
-    let summary =
-        crate::fleet::simulate_provisioned(spec.telemetry, device, scenario, subject, model, &resident.model)?;
-
-    // Swap-out: persist the final stream position and alert count the
-    // way a real slab store would before reusing the slot.
-    let windows = summary.confusion.tp
-        + summary.confusion.fp
-        + summary.confusion.tn
-        + summary.confusion.fn_;
-    resident.windows_seen = u32::try_from(windows).unwrap_or(u32::MAX);
-    resident.alerts_raised = u32::try_from(summary.alerts).unwrap_or(u32::MAX);
-    let out = resident.encode_into(slot)?;
-    Ok((summary, out as u64))
-}
-
-/// Worker loop: claim the next device index, wait for the window,
-/// simulate, deliver. Exits when the cursor passes the fleet or an
-/// error makes its remaining claims irrelevant.
-fn worker(spec: &FleetSpec, prov: &dyn FleetProvisioner, shared: &Shared) {
-    let mut slot = Vec::new();
-    loop {
-        let device = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        if device >= spec.devices {
-            return;
-        }
-        match shared.wait_for_window(device) {
-            Claim::Skip => return,
-            Claim::Proceed => {}
-        }
-        match run_one(spec, prov, device, &mut slot) {
-            Ok((summary, bytes)) => shared.deliver(device, summary, bytes),
-            Err(e) => {
-                shared.fail(device, e);
-                return;
-            }
-        }
-    }
-}
-
-/// Run a fleet through the streaming slab engine with an arbitrary
-/// [`FleetProvisioner`]. Aggregates (and [`SlabReport::slab_digest`])
-/// are bit-identical to the resident engine's at any worker count; the
-/// per-device vector is never materialized.
+/// Run a fleet with an arbitrary [`FleetProvisioner`], keeping no
+/// per-device rows. Aggregates (and [`SlabReport::slab_digest`]) are
+/// bit-identical to [`crate::fleet::run_fleet_provisioned`]'s at any
+/// worker count.
 ///
 /// # Errors
 ///
@@ -238,96 +61,23 @@ pub fn run_fleet_streamed_provisioned(
     spec: &FleetSpec,
     prov: &dyn FleetProvisioner,
 ) -> Result<SlabReport, WiotError> {
-    if spec.devices == 0 {
-        return Err(WiotError::InvalidScenario {
-            reason: "fleet must have at least one device",
-        });
-    }
-    let workers = spec.threads.clamp(1, spec.devices);
-    let window_cap = workers * 4;
-    let shared = Shared {
-        cursor: AtomicUsize::new(0),
-        fold: Mutex::new(FoldState {
-            pending: BTreeMap::new(),
-            next_fold: 0,
-            error: None,
-            high_water: 0,
-        }),
-        can_claim: Condvar::new(),
-        ready: Condvar::new(),
-        window_cap,
-    };
-
     let mut digest = Digest::new();
-    let mut reducer = Reducer::new();
-    let mut retired_checkpoint_bytes = 0u64;
-    let mut failure: Option<WiotError> = None;
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| worker(spec, prov, &shared));
-        }
-        // The scope's own thread is the folder: retire summaries in
-        // strict index order, folding digest and aggregates, keeping
-        // nothing after the fold.
-        let mut next = 0usize;
-        while next < spec.devices {
-            let entry = {
-                let mut st = shared.fold.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    if st.error.as_ref().is_some_and(|(e, _)| *e == next) {
-                        break None;
-                    }
-                    if let Some(entry) = st.pending.remove(&next) {
-                        st.next_fold = next + 1;
-                        // The claim window just moved: wake waiters.
-                        shared.can_claim.notify_all();
-                        break Some(entry);
-                    }
-                    st = shared.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            match entry {
-                Some((summary, bytes)) => {
-                    // Outside the lock: fold and retire.
-                    digest_device(&mut digest, &summary);
-                    reducer.push(&summary);
-                    retired_checkpoint_bytes += bytes;
-                    next += 1;
-                }
-                None => {
-                    let st = shared.fold.lock().unwrap_or_else(PoisonError::into_inner);
-                    failure = st.error.as_ref().map(|(_, e)| e.clone());
-                    break;
-                }
-            }
-        }
-    });
-
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    let high_water = shared
-        .fold
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .high_water;
-    let report = reducer.finish(spec.seed, spec.template.duration_s, Vec::new());
+    let (report, residency) =
+        fold_fleet(spec, prov, |summary| digest_device(&mut digest, &summary))?;
     digest.usize(report.devices);
     report.digest_aggregates_into(&mut digest);
     Ok(SlabReport {
-        slab_digest: digest.0,
-        workers,
-        window_cap,
-        pending_high_water: high_water,
-        retired_checkpoint_bytes,
         report,
+        slab_digest: digest.0,
+        workers: residency.workers,
+        window_cap: residency.window_cap,
+        pending_high_water: residency.high_water,
     })
 }
 
-/// Run a streamed fleet with a pre-trained [`ModelBank`] — the slab
-/// counterpart of [`crate::fleet::run_fleet_with_bank`], sharing its
-/// round-robin provisioning policy.
+/// Run a streamed fleet with a pre-trained [`ModelBank`] — the
+/// rows-dropped counterpart of [`crate::fleet::run_fleet_with_bank`],
+/// sharing its round-robin provisioning policy.
 ///
 /// # Errors
 ///
@@ -335,27 +85,14 @@ pub fn run_fleet_streamed_provisioned(
 /// [`WiotError::InvalidScenario`] when the bank's detector version or
 /// backend does not match the template.
 pub fn run_fleet_streamed(spec: &FleetSpec, models: &ModelBank) -> Result<SlabReport, WiotError> {
-    if models.version() != spec.template.version {
-        return Err(WiotError::InvalidScenario {
-            reason: "model bank version does not match the fleet template",
-        });
-    }
-    if models.kind() != spec.template.backend {
-        return Err(WiotError::InvalidScenario {
-            reason: "model bank backend does not match the fleet template",
-        });
-    }
-    let prov = crate::fleet::BankProvisioner {
-        models,
-        subjects_len: bank().len(),
-    };
-    run_fleet_streamed_provisioned(spec, &prov)
+    run_fleet_streamed_provisioned(spec, &BankProvisioner::new(spec, models)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{run_fleet_with_bank, FleetSpec};
+    use crate::fleet::{run_fleet_with_bank, DeviceProvision};
+    use physio_sim::subject::bank;
 
     fn trained_bank(spec: &FleetSpec) -> ModelBank {
         ModelBank::train(
@@ -368,20 +105,28 @@ mod tests {
     }
 
     #[test]
-    fn streamed_matches_resident_engine() {
+    fn rows_dropped_run_matches_rows_kept_run() {
         let spec = FleetSpec::new(3, 9.0).with_seed(7);
         let models = trained_bank(&spec);
-        let resident = run_fleet_with_bank(&spec, &models).unwrap();
-        let streamed = run_fleet_streamed(&spec, &models).unwrap();
-        // Aggregates are bit-identical once the resident per-device
-        // vector (which the slab never materializes) is set aside.
-        let mut resident_cmp = resident.clone();
-        resident_cmp.per_device = Vec::new();
-        assert_eq!(streamed.report, resident_cmp);
-        // And the streaming digest equals the resident recomputation.
-        assert_eq!(streamed.slab_digest, resident.slab_digest());
-        assert!(streamed.report.per_device.is_empty());
-        assert!(streamed.retired_checkpoint_bytes > 0, "no swap-out traffic");
+        for threads in [1, 2, 8] {
+            let spec = spec.clone().with_threads(threads);
+            let kept = run_fleet_with_bank(&spec, &models).unwrap();
+            let streamed = run_fleet_streamed(&spec, &models).unwrap();
+            assert_eq!(kept.per_device.len(), 3);
+            assert!(streamed.report.per_device.is_empty());
+            // Aggregates are bit-identical once the kept rows are set
+            // aside.
+            let mut kept_cmp = kept.clone();
+            kept_cmp.per_device = Vec::new();
+            assert_eq!(streamed.report, kept_cmp, "threads {threads}");
+            // And the streaming digest equals the rows-kept
+            // recomputation.
+            assert_eq!(
+                streamed.slab_digest,
+                kept.slab_digest(),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]
@@ -439,7 +184,7 @@ mod tests {
         // return that error (not hang, not return a partial report),
         // and the failing index must win over later successes.
         struct FailAt {
-            inner: crate::fleet::BankProvisioner<'static>,
+            inner: BankProvisioner<'static>,
             fail_device: usize,
         }
         impl FleetProvisioner for FailAt {
@@ -459,10 +204,7 @@ mod tests {
         let spec = FleetSpec::new(6, 9.0).with_seed(5).with_threads(2);
         let models = Box::leak(Box::new(trained_bank(&spec)));
         let prov = FailAt {
-            inner: crate::fleet::BankProvisioner {
-                models,
-                subjects_len: bank().len(),
-            },
+            inner: BankProvisioner::new(&spec, models).unwrap(),
             fail_device: 4,
         };
         let err = run_fleet_streamed_provisioned(&spec, &prov).unwrap_err();

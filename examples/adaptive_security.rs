@@ -1,25 +1,19 @@
-//! Adaptive security (paper Insight #4): a decision engine that watches
-//! the battery drain and hot-swaps between the three detector versions,
-//! instead of the paper's manual re-flashing.
+//! Adaptive security (paper Insight #4): the [`wiot::survival`] policy
+//! watches the battery drain and hot-swaps between the three detector
+//! versions, instead of the paper's manual re-flashing.
 //!
-//! Two acts:
-//!
-//! 1. **Open loop** — fast-forward a whole-battery deployment with
-//!    [`wiot::adaptive::simulate_adaptive_deployment`]: each simulated
-//!    hour drains the battery according to the active version's duty
-//!    cycle, and the engine switches when thresholds are crossed.
-//! 2. **Closed loop** — run the full sample-level scenario with the
-//!    [`wiot::survival`] policy engaged and an accelerated battery, and
-//!    watch the policy walk the degradation ladder live: reflashing the
-//!    detector, thinning the sensor duty cycle, and tightening the ARQ
-//!    retry budget, every decision recorded in the report.
+//! The example prints the static per-version lifetimes for reference,
+//! then runs the full sample-level scenario with the policy engaged and
+//! an accelerated battery, and watches the policy walk the degradation
+//! ladder live: reflashing the detector, thinning the sensor duty
+//! cycle, and tightening the ARQ retry budget, every decision recorded
+//! in the report.
 //!
 //! Run: `cargo run --release --example adaptive_security`
 
 use amulet_sim::profiler::{sift_app_spec, ResourceProfiler};
 use sift::config::SiftConfig;
 use sift::features::Version;
-use wiot::adaptive::{requirements_from_profiler, simulate_adaptive_deployment, Policy};
 use wiot::scenario::{run, Scenario};
 use wiot::survival::{SurvivalAction, SurvivalConfig};
 
@@ -27,42 +21,7 @@ fn main() {
     let config = SiftConfig::default();
     let profiler = ResourceProfiler::default();
 
-    println!("per-version requirements (static constraints):");
-    for r in requirements_from_profiler(&config) {
-        println!(
-            "  {:<11} FRAM {:>6.2} KB (incl. libraries), duty {:>5.2}%",
-            r.version.to_string(),
-            r.fram_bytes as f64 / 1024.0,
-            r.duty_cycle * 100.0
-        );
-    }
-
-    let report = simulate_adaptive_deployment(
-        &config,
-        Policy {
-            min_dwell_ms: 6 * 3_600_000, // don't switch more than every 6 h
-            ..Policy::default()
-        },
-    );
-
-    println!("\nadaptive deployment phases:");
-    for p in &report.phases {
-        println!(
-            "  day {:>5.1} .. {:>5.1}: {}",
-            p.from_hour / 24.0,
-            p.to_hour / 24.0,
-            p.version
-        );
-    }
-    println!(
-        "\nbattery exhausted after {:.1} days with adaptive switching \
-         (static original: {:.1} days, +{:.0}%)",
-        report.lifetime_days,
-        report.static_original_days,
-        (report.lifetime_days / report.static_original_days - 1.0) * 100.0
-    );
-
-    println!("\nstatic deployments for reference:");
+    println!("static deployments for reference:");
     for version in Version::ALL {
         let model_bytes = if version == Version::Reduced { 76 } else { 112 };
         let spec = sift_app_spec(version, &config, model_bytes);
@@ -73,10 +32,9 @@ fn main() {
     closed_loop();
 }
 
-/// Act two: the survival policy closing the loop inside a live
-/// scenario. The battery drain is accelerated 60 000× so a 60 s session
-/// traverses the whole discharge curve — on the real device this arc
-/// spans weeks.
+/// The survival policy closing the loop inside a live scenario. The
+/// battery drain is accelerated 60 000× so a 60 s session traverses the
+/// whole discharge curve — on the real device this arc spans weeks.
 fn closed_loop() {
     let mut scenario = Scenario::new(0, Version::Original, 60.0).with_reliability();
     scenario.survival = Some(SurvivalConfig {

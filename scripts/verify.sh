@@ -16,6 +16,10 @@ cargo test -q --test recovery_props
 cargo test -q --test survival_props
 cargo test -q -p wiot --test transport_edges
 cargo test -q --test resample_props
+# The campaign engine enrolls its victim pool on the fleet engine's
+# ordered-parallel core, so its thread-count invariance is part of the
+# harness too.
+cargo test -q --test campaign_props
 
 # Detector-zoo certification: the backend-parameterized conformance
 # suite (runs every property against BackendKind::ALL) plus the

@@ -1,4 +1,4 @@
-//! Integration of the adaptive-security decision engine with the real
+//! Integration of the adaptive-security survival policy with the real
 //! platform apps: hot-swapping detector versions on a running AmuletOS.
 
 use amulet_sim::apps::SiftApp;
@@ -13,7 +13,7 @@ use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::trainer::{train_for_subject, SiftModel};
-use wiot::adaptive::{requirements_from_profiler, DecisionEngine, Policy, ResourceSnapshot};
+use wiot::survival::{SurvivalAction, SurvivalConfig, SurvivalInputs, SurvivalPolicy};
 
 fn quick_config() -> SiftConfig {
     SiftConfig {
@@ -42,7 +42,7 @@ fn build_app(
     (app, image)
 }
 
-/// The full adaptive loop: the engine degrades the detector as the
+/// The full adaptive loop: the policy degrades the detector as the
 /// battery drains, and the OS actually swaps the apps.
 #[test]
 fn engine_hot_swaps_apps_on_the_running_os() {
@@ -52,13 +52,12 @@ fn engine_hot_swaps_apps_on_the_running_os() {
     let (app, image) = build_app(Version::Original, &models, &cfg);
     os.install(&image, vec![Box::new(app)]).unwrap();
 
-    let mut engine = DecisionEngine::new(
-        Version::Original,
-        requirements_from_profiler(&cfg),
-        Policy {
-            min_dwell_ms: 0,
-            ..Policy::default()
+    let mut policy = SurvivalPolicy::new(
+        SurvivalConfig {
+            min_dwell_ticks: 0,
+            ..SurvivalConfig::default()
         },
+        Version::Original,
     );
 
     let live = Record::synthesize(&bank()[0], 30.0, 1);
@@ -68,20 +67,21 @@ fn engine_hot_swaps_apps_on_the_running_os() {
         .map(|w| sift::snippet::Snippet::from_record(w).unwrap())
         .collect();
 
-    // Battery levels sampled over a simulated discharge.
-    let levels = [0.9, 0.7, 0.45, 0.3, 0.15, 0.05];
+    // Battery state of charge (permille) sampled over a simulated
+    // discharge.
+    let levels = [900, 700, 450, 300, 150, 50];
     let mut deployed = Version::Original;
-    for (step, &battery) in levels.iter().enumerate() {
+    for (step, &soc_permille) in levels.iter().enumerate() {
         // Process a window with the currently deployed app.
         os.post(AmuletEvent::SnippetReady(snippets[step % snippets.len()].clone()));
         os.run_until_idle().unwrap();
 
-        let snap = ResourceSnapshot {
-            battery_fraction: battery,
-            fram_free_bytes: 60_000,
-            cpu_headroom: 0.9,
-        };
-        if let Some(next) = engine.decide(step as u64 * 1000, &snap) {
+        let verdict = policy.step(SurvivalInputs {
+            soc_permille,
+            link_badness_permille: 0,
+            backlog_windows: 0,
+        });
+        if let Some(SurvivalAction::SetVersion { to: next, .. }) = verdict.version {
             // Version switch = reflash with the new image (Insight #4).
             let (app, image) = build_app(next, &models, &cfg);
             os.reflash(&image, vec![Box::new(app)]).unwrap();
@@ -90,36 +90,9 @@ fn engine_hot_swaps_apps_on_the_running_os() {
     }
     assert_eq!(deployed, Version::Reduced, "should end on the cheapest version");
     assert_eq!(os.app_names(), vec!["sift-reduced"]);
-    assert_eq!(engine.history().len(), 2);
+    assert_eq!(policy.switches(), 2);
     // The swapped-in app still works.
     os.post(AmuletEvent::SnippetReady(snippets[0].clone()));
     os.run_until_idle().unwrap();
     assert_eq!(os.app_state("sift-reduced").unwrap(), "PeaksDataCheck");
-}
-
-#[test]
-fn engine_respects_static_memory_constraints_of_real_specs() {
-    let cfg = quick_config();
-    let reqs = requirements_from_profiler(&cfg);
-    let mut engine = DecisionEngine::new(
-        Version::Reduced,
-        reqs.clone(),
-        Policy {
-            min_dwell_ms: 0,
-            ..Policy::default()
-        },
-    );
-    // Free FRAM only fits the reduced version (its requirement + slack).
-    let reduced_req = reqs
-        .iter()
-        .find(|r| r.version == Version::Reduced)
-        .unwrap()
-        .fram_bytes;
-    let snap = ResourceSnapshot {
-        battery_fraction: 1.0,
-        fram_free_bytes: reduced_req + 100,
-        cpu_headroom: 1.0,
-    };
-    assert_eq!(engine.decide(0, &snap), None);
-    assert_eq!(engine.current(), Version::Reduced);
 }

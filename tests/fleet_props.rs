@@ -13,9 +13,17 @@ use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::trainer::ModelBank;
 use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 use wiot::channel::LossModel;
-use wiot::fleet::{device_seed, run_fleet_with_bank, FleetSpec};
+use wiot::fleet::{
+    device_seed, run_fleet_provisioned, run_fleet_with_bank, DeviceProvision, FleetProvisioner,
+    FleetSpec,
+};
+use wiot::slab::run_fleet_streamed_provisioned;
 use wiot::survival::SurvivalConfig;
+use wiot::WiotError;
 
 fn quick_config() -> SiftConfig {
     SiftConfig {
@@ -131,6 +139,44 @@ fn fleet_determinism_different_seeds_diverge() {
     // move with the fleet seed.
     let b = run_fleet_with_bank(&spec, &models).unwrap();
     assert_ne!(a.digest(), b.digest(), "fleet seed must reach the devices");
+}
+
+/// Panics while provisioning device 0 and fails every other device.
+struct PanicAtZero;
+
+impl FleetProvisioner for PanicAtZero {
+    fn provision(&self, _: &FleetSpec, device: usize) -> Result<DeviceProvision<'_>, WiotError> {
+        assert_ne!(device, 0, "injected provisioning panic");
+        Err(WiotError::InvalidScenario {
+            reason: "injected provisioning failure",
+        })
+    }
+}
+
+/// A panicking job must not deadlock the engine: the worker fails its
+/// claimed index before unwinding, the folder stops there, and the
+/// panic is re-raised to the caller — for both the rows-kept and the
+/// rows-dropped entry point. The engine runs on its own thread under a
+/// timeout, so a regression fails this test instead of hanging it.
+#[test]
+fn panicking_job_is_re_raised_not_deadlocked() {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let spec = FleetSpec::new(8, 9.0).with_threads(2);
+        let kept = catch_unwind(AssertUnwindSafe(|| {
+            run_fleet_provisioned(&spec, &PanicAtZero).map(|_| ())
+        }));
+        let streamed = catch_unwind(AssertUnwindSafe(|| {
+            run_fleet_streamed_provisioned(&spec, &PanicAtZero).map(|_| ())
+        }));
+        // The receiver may be gone if the test already timed out.
+        let _ = tx.send((kept.is_err(), streamed.is_err()));
+    });
+    let (kept_panicked, streamed_panicked) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("engine deadlocked on a panicking job");
+    assert!(kept_panicked, "rows-kept run swallowed the panic");
+    assert!(streamed_panicked, "rows-dropped run swallowed the panic");
 }
 
 proptest! {
