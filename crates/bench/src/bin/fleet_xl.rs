@@ -15,6 +15,11 @@
 //! needs; its digest is pinned by its **own** baseline
 //! (`results/BENCH_fleet_xl.json`), not the resident one.
 //!
+//! The Turbo-vs-Reference ratio is like for like: after the Turbo
+//! passes, the bin times a fixed slice of the same spec with
+//! [`SynthProfile::Reference`] in the same process, and reports the two
+//! throughputs and their ratio separately.
+//!
 //! Writes `results/BENCH_fleet_xl.json` (override with `--out PATH`).
 //! The digest and count fields are deterministic; wall-clock fields
 //! (`*_wall_s`, throughput, `pending_high_water`) vary per machine and
@@ -30,10 +35,9 @@ use std::time::Instant;
 use wiot::fleet::FleetSpec;
 use wiot::slab::{run_fleet_streamed, SlabReport};
 
-/// Resident-engine throughput of the committed 100-device baseline
-/// (`results/BENCH_fleet_baseline.json`), the reference this bench's
-/// ≥10× target is measured against.
-const RESIDENT_BASELINE_THROUGHPUT: f64 = 8093.2;
+/// Devices in the Reference-synthesis slice (fewer if the fleet is
+/// smaller): enough for a stable throughput, a fraction of the run.
+const REFERENCE_SLICE_DEVICES: usize = 5_000;
 
 struct Args {
     devices: usize,
@@ -96,17 +100,21 @@ fn xl_spec(args: &Args, threads: usize) -> FleetSpec {
     spec
 }
 
-fn run_pass(args: &Args, models: &ModelBank, threads: usize) -> (SlabReport, f64) {
-    let spec = xl_spec(args, threads);
+/// Time one streamed run of `spec`.
+fn timed_run(spec: &FleetSpec, models: &ModelBank) -> (SlabReport, f64) {
     let t = Instant::now();
-    let report = match run_fleet_streamed(&spec, models) {
+    let report = match run_fleet_streamed(spec, models) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("fleet_xl run failed at {threads} threads: {e}");
+            eprintln!("fleet_xl run failed at {} threads: {e}", spec.threads);
             std::process::exit(1);
         }
     };
-    let wall = t.elapsed().as_secs_f64();
+    (report, t.elapsed().as_secs_f64())
+}
+
+fn run_pass(args: &Args, models: &ModelBank, threads: usize) -> (SlabReport, f64) {
+    let (report, wall) = timed_run(&xl_spec(args, threads), models);
     println!(
         "  {} threads: {:.1} s wall -> {:.1} device-s/wall-s, digest {:#018x}, \
          pending high-water {}/{}",
@@ -202,11 +210,27 @@ fn main() {
     };
     let rep = &headline.report;
     let throughput = rep.simulated_device_s / sim_wall_s;
-    let speedup = throughput / RESIDENT_BASELINE_THROUGHPUT;
     println!(
-        "simulated {:.0} device-seconds in {:.1} s wall -> {:.1} device-s/wall-s \
-         ({:.1}x the resident 100-device baseline)",
-        rep.simulated_device_s, sim_wall_s, throughput, speedup
+        "simulated {:.0} device-seconds in {:.1} s wall -> {:.1} device-s/wall-s",
+        rep.simulated_device_s, sim_wall_s, throughput
+    );
+
+    // Like-for-like baseline: the same spec and thread count with only
+    // the synthesis profile switched back to Reference.
+    let mut slice_spec = xl_spec(&args, headline_threads);
+    slice_spec.devices = args.devices.min(REFERENCE_SLICE_DEVICES);
+    slice_spec.template.synth = SynthProfile::Reference;
+    let (slice, slice_wall_s) = timed_run(&slice_spec, &models);
+    let reference_throughput = slice.report.simulated_device_s / slice_wall_s;
+    let turbo_vs_reference = throughput / reference_throughput;
+    println!(
+        "reference slice: {} devices, same spec with reference synthesis: {:.1} s wall \
+         -> {:.1} device-s/wall-s, digest {:#018x}",
+        slice_spec.devices, slice_wall_s, reference_throughput, slice.slab_digest
+    );
+    println!(
+        "turbo {:.1} vs reference {:.1} device-s/wall-s: {:.2}x from the synthesis profile",
+        throughput, reference_throughput, turbo_vs_reference
     );
     println!(
         "windows scored {} (sink flagged {}), recovery {:.3}, outliers {}",
@@ -222,7 +246,10 @@ fn main() {
          \"version\": \"reduced\",\n  \"synth\": \"turbo\",\n  \"persist\": false,\n  \
          \"simulated_device_s\": {},\n  \"train_wall_s\": {:.3},\n  \
          \"sim_wall_s\": {:.3},\n  \"throughput_device_s_per_wall_s\": {:.1},\n  \
-         \"speedup_vs_resident_baseline\": {:.2},\n  \"slab_digest\": \"{:#018x}\",\n  \
+         \"reference_slice_devices\": {},\n  \"reference_slice_wall_s\": {:.3},\n  \
+         \"reference_throughput_device_s_per_wall_s\": {:.1},\n  \
+         \"turbo_vs_reference_speedup\": {:.2},\n  \
+         \"reference_slice_digest\": \"{:#018x}\",\n  \"slab_digest\": \"{:#018x}\",\n  \
          \"window_cap\": {},\n  \"pending_high_water\": {},\n  \
          \"windows_scored\": {},\n  \
          \"sink_flagged\": {},\n  \"dropped_windows\": {},\n  \"salvaged_windows\": {},\n  \
@@ -238,7 +265,11 @@ fn main() {
         train_wall_s,
         sim_wall_s,
         throughput,
-        speedup,
+        slice_spec.devices,
+        slice_wall_s,
+        reference_throughput,
+        turbo_vs_reference,
+        slice.slab_digest,
         headline.slab_digest,
         headline.window_cap,
         headline.pending_high_water,

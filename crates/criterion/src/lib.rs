@@ -2,11 +2,14 @@
 //!
 //! The build environment cannot reach crates.io, so this vendored
 //! crate provides the API subset the workspace's benches use. Each
-//! benchmark runs a small fixed number of timed iterations and prints
-//! a mean wall time — enough for coarse comparisons and for keeping
-//! `cargo test` (which builds and runs bench targets) fast. Under
-//! `--test` (how cargo invokes benches during `cargo test`) every
-//! benchmark body runs exactly once, as upstream criterion does.
+//! benchmark takes `sample_size` timed samples (20 by default); a
+//! sample runs enough iterations to last about a millisecond, sized
+//! from one untimed warm-up call. It prints the median time per
+//! iteration with the fastest sample and the median absolute deviation
+//! (MAD) — robust statistics, so one descheduled sample cannot move the
+//! headline. Under `--test` (how cargo invokes benches during
+//! `cargo test`) every benchmark body runs exactly once, as upstream
+//! criterion does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,10 +18,57 @@ use std::time::Instant;
 
 pub use std::hint::black_box;
 
-const BENCH_ITERS: u64 = 10;
+/// Samples per benchmark unless `sample_size` overrides it.
+const DEFAULT_SAMPLES: usize = 20;
+
+/// Target duration of one sample; a sample batches iterations of fast
+/// routines so the clock reads stay negligible against them.
+const TARGET_SAMPLE_NS: u128 = 1_000_000;
+
+/// Cap on the iterations batched into one sample.
+const MAX_ITERS_PER_SAMPLE: u128 = 100_000;
 
 fn test_mode() -> bool {
     std::env::args().any(|a| a == "--test")
+}
+
+/// Robust summary of one benchmark's per-iteration sample times.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Summary {
+    /// Median time per iteration, nanoseconds.
+    median_ns: f64,
+    /// Fastest sample's time per iteration, nanoseconds.
+    min_ns: f64,
+    /// Median absolute deviation from the median, nanoseconds.
+    mad_ns: f64,
+}
+
+fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+    }
+}
+
+impl Summary {
+    /// Summarize per-iteration sample times; `None` when there are none.
+    fn of(samples_ns: &[f64]) -> Option<Self> {
+        if samples_ns.is_empty() {
+            return None;
+        }
+        let mut sorted = samples_ns.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let med = median(&sorted);
+        let mut dev: Vec<f64> = sorted.iter().map(|x| (x - med).abs()).collect();
+        dev.sort_by(f64::total_cmp);
+        Some(Self {
+            median_ns: med,
+            min_ns: sorted[0],
+            mad_ns: median(&dev),
+        })
+    }
 }
 
 /// Label for a parameterized benchmark.
@@ -56,95 +106,127 @@ pub enum BatchSize {
 
 /// Drives one benchmark's iterations.
 pub struct Bencher {
-    iters: u64,
-    elapsed_ns: u128,
+    /// Timed samples to take; `0` runs the routine once, untimed.
+    samples: usize,
+    /// Per-iteration time of each sample, nanoseconds.
+    sample_ns: Vec<f64>,
+    iters_per_sample: u128,
 }
 
 impl Bencher {
-    fn new(iters: u64) -> Self {
+    fn new(samples: usize) -> Self {
         Self {
-            iters,
-            elapsed_ns: 0,
+            samples,
+            sample_ns: Vec::with_capacity(samples),
+            iters_per_sample: 1,
         }
     }
 
-    /// Time `routine` over the configured iterations.
+    /// Time `routine`: one warm-up call sizes the batch, then
+    /// `samples` batches are timed.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         let start = Instant::now();
-        for _ in 0..self.iters {
-            black_box(routine());
+        black_box(routine());
+        if self.samples == 0 {
+            return;
         }
-        self.elapsed_ns = start.elapsed().as_nanos();
+        let warm_ns = start.elapsed().as_nanos().max(1);
+        let iters = (TARGET_SAMPLE_NS / warm_ns).clamp(1, MAX_ITERS_PER_SAMPLE);
+        self.iters_per_sample = iters;
+        for _ in 0..self.samples {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(routine());
+            }
+            self.sample_ns
+                .push(start.elapsed().as_nanos() as f64 / iters as f64);
+        }
     }
 
-    /// Time `routine` on fresh inputs from `setup` (setup untimed).
+    /// Time `routine` on fresh inputs from `setup` (setup untimed); each
+    /// sample is one call.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        let mut total: u128 = 0;
-        for _ in 0..self.iters {
+        for _ in 0..self.samples.max(1) {
             let input = setup();
             let start = Instant::now();
             black_box(routine(input));
-            total += start.elapsed().as_nanos();
+            let ns = start.elapsed().as_nanos() as f64;
+            if self.samples > 0 {
+                self.sample_ns.push(ns);
+            }
         }
-        self.elapsed_ns = total;
     }
 }
 
 /// The benchmark registry / runner.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Criterion {
-    _priv: (),
+    samples: usize,
+}
+
+impl Default for Criterion {
+    fn default() -> Self {
+        Self {
+            samples: DEFAULT_SAMPLES,
+        }
+    }
 }
 
 impl Criterion {
-    fn run(&self, label: &str, f: impl FnOnce(&mut Bencher)) {
-        let iters = if test_mode() { 1 } else { BENCH_ITERS };
-        let mut b = Bencher::new(iters);
+    fn run(&self, label: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
+        let mut b = Bencher::new(if test_mode() { 0 } else { samples.max(1) });
         f(&mut b);
-        if test_mode() {
-            println!("test {label} ... ok");
-        } else {
-            let mean_ns = b.elapsed_ns / u128::from(iters.max(1));
-            println!("{label:<48} {:>12.3} µs/iter", mean_ns as f64 / 1000.0);
+        match Summary::of(&b.sample_ns) {
+            None => println!("test {label} ... ok"),
+            Some(s) => println!(
+                "{label:<48} median {:>11.3} µs  min {:>11.3} µs  MAD {:>9.3} µs  ({} x {})",
+                s.median_ns / 1000.0,
+                s.min_ns / 1000.0,
+                s.mad_ns / 1000.0,
+                b.sample_ns.len(),
+                b.iters_per_sample,
+            ),
         }
     }
 
-    /// Accepted for API compatibility (used in `criterion_group!`
-    /// `config = ...` position); this stand-in uses a fixed iteration
-    /// count.
-    pub fn sample_size(self, _n: usize) -> Self {
+    /// Number of timed samples per benchmark (at least one).
+    pub fn sample_size(mut self, n: usize) -> Self {
+        self.samples = n;
         self
     }
 
     /// Run one named benchmark.
     pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
-        self.run(name, f);
+        self.run(name, self.samples, f);
         self
     }
 
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
+        let samples = self.samples;
         BenchmarkGroup {
-            _c: self,
+            c: self,
             name: name.into(),
+            samples,
         }
     }
 }
 
 /// A group of related benchmarks sharing a name prefix.
 pub struct BenchmarkGroup<'a> {
-    _c: &'a mut Criterion,
+    c: &'a mut Criterion,
     name: String,
+    samples: usize,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; this stand-in uses a fixed
-    /// iteration count.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
+    /// Number of timed samples for the group's benchmarks.
+    pub fn sample_size(&mut self, n: usize) -> &mut Self {
+        self.samples = n;
         self
     }
 
@@ -155,7 +237,7 @@ impl BenchmarkGroup<'_> {
         f: impl FnOnce(&mut Bencher),
     ) -> &mut Self {
         let label = format!("{}/{}", self.name, id);
-        self._c.run(&label, f);
+        self.c.run(&label, self.samples, f);
         self
     }
 
@@ -167,7 +249,7 @@ impl BenchmarkGroup<'_> {
         f: impl FnOnce(&mut Bencher, &I),
     ) -> &mut Self {
         let label = format!("{}/{}", self.name, id);
-        self._c.run(&label, |b| f(b, input));
+        self.c.run(&label, self.samples, |b| f(b, input));
         self
     }
 
@@ -221,6 +303,34 @@ mod tests {
     fn harness_runs_everything() {
         let mut c = Criterion::default();
         sample_bench(&mut c);
+    }
+
+    #[test]
+    fn timed_samples_are_summarized() {
+        let mut b = Bencher::new(5);
+        b.iter(|| black_box(3u64).pow(2));
+        assert_eq!(b.sample_ns.len(), 5);
+        let mut b = Bencher::new(3);
+        b.iter_batched(|| vec![0u8; 8], |v| v.len(), BatchSize::SmallInput);
+        assert_eq!(b.sample_ns.len(), 3);
+        let mut once = Bencher::new(0);
+        let mut calls = 0;
+        once.iter(|| calls += 1);
+        assert_eq!(calls, 1);
+        assert!(once.sample_ns.is_empty());
+    }
+
+    #[test]
+    fn summary_is_median_min_and_mad() {
+        let s = Summary::of(&[5.0, 1.0, 4.0, 2.0, 100.0]).unwrap();
+        assert_eq!(s.median_ns, 4.0);
+        assert_eq!(s.min_ns, 1.0);
+        // |x − 4| = 1, 3, 0, 2, 96 → median 2: the outlier cannot move it.
+        assert_eq!(s.mad_ns, 2.0);
+        let even = Summary::of(&[1.0, 3.0]).unwrap();
+        assert_eq!(even.median_ns, 2.0);
+        assert_eq!(even.mad_ns, 1.0);
+        assert_eq!(Summary::of(&[]), None);
     }
 
     #[test]

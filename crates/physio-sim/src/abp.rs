@@ -149,6 +149,13 @@ pub fn render_turbo(
 ///
 /// Returns the samples and the ground-truth systolic-peak sample indices
 /// (one per beat whose systolic peak lands inside the rendered range).
+///
+/// The samples equal `pp · kernel(x)` summed per pulse, bit for bit,
+/// but the dicrotic-notch `exp` is skipped wherever round-to-nearest
+/// absorbs it into the decay term: with keys `x/decay_s` for the decay
+/// and `d²/(2·0.03²) − ln|notch_frac|` for the notch, a notch key that
+/// clears the decay key by the `ecg` module's absorption margin leaves
+/// `decay + notch == decay` (see the `ecg` module docs).
 pub fn render(
     morph: &AbpMorphology,
     r_times: &[f64],
@@ -160,6 +167,55 @@ pub fn render(
     let pp = morph.pulse_pressure();
     // Kernel support: upstroke before the peak, ~4 decay constants after.
     let tail = 4.0 * morph.decay_s + morph.notch_delay_s;
+    // Key-estimate constants (they steer the skip, never a value).
+    let inv_decay = 1.0 / morph.decay_s;
+    let inv_notch_denom = 1.0 / (2.0 * 0.03f64 * 0.03);
+    let ln_notch = morph.notch_frac.abs().ln();
+    for &rt in r_times {
+        let peak_t = rt + morph.ptt_s;
+        let lo = (((peak_t - morph.rise_s) * fs).floor()).max(0.0) as usize;
+        let hi = (((peak_t + tail) * fs).ceil() as usize).min(n);
+        for (i, sample) in out.iter_mut().enumerate().take(hi).skip(lo) {
+            let x = i as f64 / fs - peak_t;
+            let k = if x < 0.0 {
+                morph.kernel(x)
+            } else {
+                // `kernel`'s diastolic branch, operation for operation.
+                let decay = (-x / morph.decay_s).exp();
+                let d = x - morph.notch_delay_s;
+                let notch_key = d * d * inv_notch_denom - ln_notch;
+                if notch_key - x * inv_decay >= crate::ecg::ABSORB_MARGIN_NATS
+                    && decay >= crate::ecg::ABSORB_FLOOR
+                {
+                    decay
+                } else {
+                    decay + morph.notch_frac * (-d * d / (2.0 * 0.03f64 * 0.03)).exp()
+                }
+            };
+            *sample += pp * k;
+        }
+    }
+    let sys_peaks = r_times
+        .iter()
+        .map(|rt| ((rt + morph.ptt_s) * fs).round() as usize)
+        .filter(|&i| i < n)
+        .collect();
+    (out, sys_peaks)
+}
+
+/// The historical per-sample kernel, kept as the oracle [`render`] must
+/// match bit for bit: both diastolic `exp`s at every sample.
+#[cfg(test)]
+pub(crate) fn render_oracle(
+    morph: &AbpMorphology,
+    r_times: &[f64],
+    duration_s: f64,
+    fs: f64,
+) -> Vec<f64> {
+    let n = (duration_s * fs).round() as usize;
+    let mut out = vec![morph.diastolic_mmhg; n];
+    let pp = morph.pulse_pressure();
+    let tail = 4.0 * morph.decay_s + morph.notch_delay_s;
     for &rt in r_times {
         let peak_t = rt + morph.ptt_s;
         let lo = (((peak_t - morph.rise_s) * fs).floor()).max(0.0) as usize;
@@ -169,12 +225,7 @@ pub fn render(
             *sample += pp * morph.kernel(x);
         }
     }
-    let sys_peaks = r_times
-        .iter()
-        .map(|rt| ((rt + morph.ptt_s) * fs).round() as usize)
-        .filter(|&i| i < n)
-        .collect();
-    (out, sys_peaks)
+    out
 }
 
 #[cfg(test)]

@@ -7,6 +7,43 @@
 //! sum-of-Gaussians morphology used by the well-known ECGSYN model,
 //! without its phase-oscillator integration, which is unnecessary at the
 //! fidelity SIFT needs.
+//!
+//! # Bit-exact absorption
+//!
+//! [`render`] produces exactly the samples of the historical per-sample
+//! sum, but skips the `exp` calls that provably cannot change a sample.
+//! Under round-to-nearest, adding a term `t` to a nonzero `s` returns
+//! `s` unchanged whenever `|t| < |s|·2⁻⁵⁴`. A wave's magnitude is
+//! `|amp|·e^(−d²/denom)`, so its *key* `d²/denom − ln|amp|` orders the
+//! waves by size in the log domain. When one wave's key undercuts every
+//! other by `ABSORB_MARGIN_NATS`, the others (and their partial sums)
+//! are absorbed by it, and the in-order P+Q+R+S+T sum equals that wave
+//! alone, evaluated with the reference expression. When every key of a
+//! beat clears the running sample by the same margin, the whole beat is
+//! absorbed and its sum is not evaluated at all. Keys are estimates
+//! (a hoisted reciprocal instead of the division): they only steer the
+//! decision, never a sample's value. DESIGN.md §14 gives the error
+//! budget.
+
+/// Log-domain margin (nats) by which the skipped terms' keys must clear
+/// the term (or running sample) that absorbs them. The rounding rule
+/// needs `ln 10 + 54·ln 2 ≈ 39.7` nats for up to five skipped terms,
+/// each possibly doubled by a subnormal `exp` result; the rest is slack
+/// for the key estimates, whose error is below `1e-12` nats.
+pub(crate) const ABSORB_MARGIN_NATS: f64 = 41.0;
+
+/// Smallest magnitude an absorbing value may have (about `2⁻⁹³⁰`).
+/// Far above the subnormal range, so a skipped term's absolute rounding
+/// error there (`2⁻¹⁰⁷⁵`) is itself absorbed, and it excludes zero, whose
+/// sign would depend on the terms skipped.
+pub(crate) const ABSORB_FLOOR: f64 = 1e-280;
+
+/// A lower bound on `ln|x|` from the binary exponent alone, for a
+/// normal, finite-or-infinite `x` (callers check `|x| ≥ ABSORB_FLOOR`).
+fn ln_abs_lower_bound(x: f64) -> f64 {
+    let biased = ((x.to_bits() >> 52) & 0x7ff) as i32;
+    f64::from(biased - 1023) * std::f64::consts::LN_2
+}
 
 /// Shape of one wave component: a Gaussian bump.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,16 +168,19 @@ impl EcgMorphology {
     /// stretch `powf`s run once here instead of once per sample; the
     /// summation in [`PreparedMorphology::at`] keeps the P, Q, R, S, T
     /// order, so results match [`EcgMorphology::eval`] bit for bit.
-    fn prepare(&self, rr: f64) -> PreparedMorphology {
+    fn prepare(&self, rr: f64, ln_amp: [f64; 5]) -> PreparedMorphology {
+        // P and T track the beat length; the QRS complex is rigid.
+        let waves = [
+            self.p.prepare(rr, 1.0),
+            self.q.prepare(rr, 0.0),
+            self.r.prepare(rr, 0.0),
+            self.s.prepare(rr, 0.0),
+            self.t.prepare(rr, 0.6),
+        ];
         PreparedMorphology {
-            // P and T track the beat length; the QRS complex is rigid.
-            waves: [
-                self.p.prepare(rr, 1.0),
-                self.q.prepare(rr, 0.0),
-                self.r.prepare(rr, 0.0),
-                self.s.prepare(rr, 0.0),
-                self.t.prepare(rr, 0.6),
-            ],
+            waves,
+            inv_denom: waves.map(|w| 1.0 / w.denom),
+            ln_amp,
         }
     }
 }
@@ -149,6 +189,10 @@ impl EcgMorphology {
 #[derive(Debug, Clone, Copy)]
 struct PreparedMorphology {
     waves: [PreparedWave; 5],
+    /// `1 / denom` per wave: the key estimate's hoisted reciprocal.
+    inv_denom: [f64; 5],
+    /// `ln|amplitude|` per wave (`−∞` for a zero amplitude).
+    ln_amp: [f64; 5],
 }
 
 impl PreparedMorphology {
@@ -158,6 +202,37 @@ impl PreparedMorphology {
             + self.waves[2].at(tau)
             + self.waves[3].at(tau)
             + self.waves[4].at(tau)
+    }
+
+    /// A value `v` with `acc + v == acc + self.at(tau)` bit for bit,
+    /// computed with as few `exp`s as absorption allows: none when the
+    /// whole beat is absorbed by `acc`, one when a single wave absorbs
+    /// the other four, five (the in-order sum) otherwise.
+    fn absorbed_at(&self, tau: f64, acc: f64) -> f64 {
+        let mut key = [0.0f64; 5];
+        let mut j = 0;
+        for w in 0..5 {
+            let d = tau - self.waves[w].center_s;
+            key[w] = d * d * self.inv_denom[w] - self.ln_amp[w];
+            if key[w] < key[j] {
+                j = w;
+            }
+        }
+        // NaN keys fail every comparison below and fall through to the
+        // in-order sum.
+        if acc.abs() >= ABSORB_FLOOR {
+            let clear = ABSORB_MARGIN_NATS - ln_abs_lower_bound(acc);
+            if key.iter().all(|&k| k >= clear) {
+                return 0.0;
+            }
+        }
+        if (0..5).all(|w| w == j || key[w] - key[j] >= ABSORB_MARGIN_NATS) {
+            let v = self.waves[j].at(tau);
+            if v.abs() >= ABSORB_FLOOR {
+                return v;
+            }
+        }
+        self.at(tau)
     }
 }
 
@@ -262,6 +337,7 @@ pub fn render(
 ) -> (Vec<f64>, Vec<usize>) {
     let n = (duration_s * fs).round() as usize;
     let mut out = vec![0.0f64; n];
+    let ln_amp = morph.waves().map(|w| w.amplitude_mv.abs().ln());
     // Each beat contributes only within ±0.6·RR of its R peak, so render
     // beat-locally instead of summing all beats per sample.
     for (k, &rt) in r_times.iter().enumerate() {
@@ -277,12 +353,12 @@ pub fn render(
         // R (T wave), previous RR for waves before it (P wave). Both
         // stretches are fixed for the beat, so the five per-wave
         // `powf`s are hoisted out of the sample loop.
-        let before = morph.prepare(rr_prev);
-        let after = morph.prepare(rr_next);
+        let before = morph.prepare(rr_prev, ln_amp);
+        let after = morph.prepare(rr_next, ln_amp);
         for (i, sample) in out.iter_mut().enumerate().take(hi).skip(lo) {
             let tau = i as f64 / fs - rt;
             let prepared = if tau >= 0.0 { &after } else { &before };
-            *sample += prepared.at(tau);
+            *sample += prepared.absorbed_at(tau, *sample);
         }
     }
     let r_peaks = r_times
@@ -291,6 +367,38 @@ pub fn render(
         .filter(|&i| i < n)
         .collect();
     (out, r_peaks)
+}
+
+/// The historical per-sample kernel, kept as the oracle [`render`] must
+/// match bit for bit: all five `exp`s at every sample of every beat.
+#[cfg(test)]
+pub(crate) fn render_oracle(
+    morph: &EcgMorphology,
+    r_times: &[f64],
+    duration_s: f64,
+    fs: f64,
+) -> Vec<f64> {
+    let n = (duration_s * fs).round() as usize;
+    let mut out = vec![0.0f64; n];
+    for (k, &rt) in r_times.iter().enumerate() {
+        let rr_prev = if k > 0 { rt - r_times[k - 1] } else { 0.9 };
+        let rr_next = if k + 1 < r_times.len() {
+            r_times[k + 1] - rt
+        } else {
+            rr_prev
+        };
+        let lo = ((rt - 0.6 * rr_prev) * fs).floor().max(0.0) as usize;
+        let hi = (((rt + 0.75 * rr_next) * fs).ceil() as usize).min(n);
+        // `at` reads no key data, so the `ln_amp` argument is inert.
+        let before = morph.prepare(rr_prev, [0.0; 5]);
+        let after = morph.prepare(rr_next, [0.0; 5]);
+        for (i, sample) in out.iter_mut().enumerate().take(hi).skip(lo) {
+            let tau = i as f64 / fs - rt;
+            let prepared = if tau >= 0.0 { &after } else { &before };
+            *sample += prepared.at(tau);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -57,26 +57,47 @@ impl NoiseParams {
     }
 }
 
+/// Samples per block of [`apply`]'s two passes: small enough for the
+/// stack, large enough to amortize the pass switch.
+const NOISE_BLOCK: usize = 256;
+
 /// Add the configured noise mix to `signal` in place, deterministically
 /// from `seed`.
+///
+/// Per block of 256 samples (`NOISE_BLOCK`), one pass draws the Box–Muller
+/// deviates (in the historical per-sample RNG order) into a stack
+/// buffer, and a second adds them with the two sinusoids, in the
+/// historical per-sample operation order — so the output is bit for bit
+/// the one-pass interleaved loop's, with the RNG and the `sin` calls no
+/// longer serialized against each other.
 pub fn apply(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let two_pi = 2.0 * std::f64::consts::PI;
     // Random phases so different records don't share wander alignment.
     let wander_phase: f64 = rng.gen_range(0.0..two_pi);
     let hum_phase: f64 = rng.gen_range(0.0..two_pi);
-    for (i, x) in signal.iter_mut().enumerate() {
-        let t = i as f64 / fs;
-        let mut add = 0.0;
-        if params.white_sigma > 0.0 {
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let gauss = (-2.0 * u1.ln()).sqrt() * (two_pi * u2).cos();
-            add += params.white_sigma * gauss;
+    let white = params.white_sigma > 0.0;
+    let mut gauss = [0.0f64; NOISE_BLOCK];
+    for (b, block) in signal.chunks_mut(NOISE_BLOCK).enumerate() {
+        let gauss = &mut gauss[..block.len()];
+        if white {
+            for g in gauss.iter_mut() {
+                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                *g = (-2.0 * u1.ln()).sqrt() * (two_pi * u2).cos();
+            }
         }
-        add += params.wander_amp * (two_pi * params.wander_hz * t + wander_phase).sin();
-        add += params.hum_amp * (two_pi * params.hum_hz * t + hum_phase).sin();
-        *x += add;
+        let first = b * NOISE_BLOCK;
+        for (k, (x, &g)) in block.iter_mut().zip(gauss.iter()).enumerate() {
+            let t = (first + k) as f64 / fs;
+            let mut add = 0.0;
+            if white {
+                add += params.white_sigma * g;
+            }
+            add += params.wander_amp * (two_pi * params.wander_hz * t + wander_phase).sin();
+            add += params.hum_amp * (two_pi * params.hum_hz * t + hum_phase).sin();
+            *x += add;
+        }
     }
 }
 
@@ -141,6 +162,29 @@ pub fn apply_turbo(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64)
         let hn = h_s * h_rc + h_c * h_rs;
         h_c = h_c * h_rc - h_s * h_rs;
         h_s = hn;
+    }
+}
+
+/// The historical one-pass loop, kept as the oracle [`apply`] must match
+/// bit for bit.
+#[cfg(test)]
+pub(crate) fn apply_oracle(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let two_pi = 2.0 * std::f64::consts::PI;
+    let wander_phase: f64 = rng.gen_range(0.0..two_pi);
+    let hum_phase: f64 = rng.gen_range(0.0..two_pi);
+    for (i, x) in signal.iter_mut().enumerate() {
+        let t = i as f64 / fs;
+        let mut add = 0.0;
+        if params.white_sigma > 0.0 {
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let gauss = (-2.0 * u1.ln()).sqrt() * (two_pi * u2).cos();
+            add += params.white_sigma * gauss;
+        }
+        add += params.wander_amp * (two_pi * params.wander_hz * t + wander_phase).sin();
+        add += params.hum_amp * (two_pi * params.hum_hz * t + hum_phase).sin();
+        *x += add;
     }
 }
 

@@ -530,3 +530,234 @@ mod tests {
         assert_eq!(e.mean_heart_rate_bpm(), None);
     }
 }
+
+/// Bit-exactness of the Reference kernels against their historical
+/// per-sample oracles (`ecg::render_oracle`, `abp::render_oracle`,
+/// `noise::apply_oracle`), compared with `to_bits` so that even a
+/// flipped zero sign fails.
+#[cfg(test)]
+mod exactness {
+    use super::*;
+    use crate::abp::AbpMorphology;
+    use crate::ecg::{EcgMorphology, Wave};
+    use crate::noise::NoiseParams;
+    use crate::population::population;
+    use crate::subject::bank;
+    use proptest::prelude::*;
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: sample {i}: {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    /// Each kernel against its oracle on one beat train: the clean ECG
+    /// and ABP renders, then the noise pass over the oracle's renders.
+    fn assert_kernels_exact(
+        subject: &Subject,
+        r_times: &[f64],
+        duration_s: f64,
+        seed: u64,
+        fs: f64,
+        what: &str,
+    ) {
+        let (ecg_sig, _) = ecg::render(&subject.ecg, r_times, duration_s, fs);
+        let ecg_ref = ecg::render_oracle(&subject.ecg, r_times, duration_s, fs);
+        assert_bits_eq(&ecg_sig, &ecg_ref, &format!("{what} ecg"));
+        let (abp_sig, _) = abp::render(&subject.abp, r_times, duration_s, fs);
+        let abp_ref = abp::render_oracle(&subject.abp, r_times, duration_s, fs);
+        assert_bits_eq(&abp_sig, &abp_ref, &format!("{what} abp"));
+        for (clean, params, salt, channel) in [
+            (ecg_ref, &subject.ecg_noise, 0xEC6, "ecg noise"),
+            (abp_ref, &subject.abp_noise, 0xAB9, "abp noise"),
+        ] {
+            let mut got = clean.clone();
+            noise::apply(&mut got, params, fs, seed ^ salt);
+            let mut want = clean;
+            noise::apply_oracle(&mut want, params, fs, seed ^ salt);
+            assert_bits_eq(&got, &want, &format!("{what} {channel}"));
+        }
+    }
+
+    /// `Record::synthesize`'s own beat train for `(subject, duration, seed)`.
+    fn sweep_one(subject: &Subject, duration_s: f64, seed: u64, what: &str) {
+        let r_times = RrProcess::new(subject.rr, seed).beat_times(0.4, duration_s);
+        assert_kernels_exact(subject, &r_times, duration_s, seed, SAMPLE_RATE_HZ, what);
+    }
+
+    #[test]
+    fn bank_sweep_is_bit_exact() {
+        for (i, subject) in bank().iter().enumerate() {
+            for duration_s in [30.0, 56.0, 60.0] {
+                let what = format!("bank {i} @ {duration_s} s");
+                sweep_one(subject, duration_s, 1000 + i as u64, &what);
+            }
+        }
+    }
+
+    /// The 1,024-subject population at 30 s, in four quarters so the
+    /// test harness can spread them over its threads.
+    fn population_quarter(quarter: usize) {
+        let subjects = population(1024, 61455);
+        for (i, subject) in subjects.iter().enumerate().skip(256 * quarter).take(256) {
+            sweep_one(subject, 30.0, 77 + i as u64, &format!("population {i}"));
+        }
+    }
+
+    #[test]
+    fn population_sweep_is_bit_exact_q0() {
+        population_quarter(0);
+    }
+
+    #[test]
+    fn population_sweep_is_bit_exact_q1() {
+        population_quarter(1);
+    }
+
+    #[test]
+    fn population_sweep_is_bit_exact_q2() {
+        population_quarter(2);
+    }
+
+    #[test]
+    fn population_sweep_is_bit_exact_q3() {
+        population_quarter(3);
+    }
+
+    /// FNV-1a over the sample bits of both channels.
+    fn sample_fnv(rec: &Record) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for x in rec.ecg.iter().chain(&rec.abp) {
+            for b in x.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// Pinned hashes of Reference records: any drift in a Reference
+    /// sample, from any cause, fails here first.
+    #[test]
+    fn reference_samples_are_pinned() {
+        let pins: [(usize, u64, u64); 4] = [
+            (0, 42, 0x1300_8fac_2588_73f8),
+            (3, 7, 0xf015_a444_0f3f_7d43),
+            (7, 61455, 0xac96_fd59_7d7f_90ba),
+            (11, 190731757, 0x6d82_5dba_3fe6_58c2),
+        ];
+        let b = bank();
+        for (i, seed, want) in pins {
+            let got = sample_fnv(&Record::synthesize(&b[i], 30.0, seed));
+            assert_eq!(got, want, "bank {i} seed {seed}: {got:#018x}");
+        }
+    }
+
+    /// An amplitude that is exactly zero a quarter of the time.
+    fn amplitude(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
+        (0u8..4, range).prop_map(|(z, a)| if z == 0 { 0.0 } else { a })
+    }
+
+    fn wave(offset: std::ops::Range<f64>) -> impl Strategy<Value = Wave> {
+        (amplitude(-1.5..1.5), offset, 0.002f64..0.12).prop_map(
+            |(amplitude_mv, offset_s, width_s)| Wave {
+                amplitude_mv,
+                offset_s,
+                width_s,
+            },
+        )
+    }
+
+    fn ecg_morphology() -> impl Strategy<Value = EcgMorphology> {
+        (
+            wave(-0.3..-0.05),
+            wave(-0.08..0.0),
+            wave(-0.02..0.02),
+            wave(0.0..0.08),
+            wave(0.1..0.5),
+        )
+            .prop_map(|(p, q, r, s, t)| EcgMorphology { p, q, r, s, t })
+    }
+
+    fn abp_morphology() -> impl Strategy<Value = AbpMorphology> {
+        (
+            (60.0f64..100.0, 10.0f64..80.0),
+            (0.05f64..0.4, 0.03f64..0.2),
+            0.05f64..0.9,
+            amplitude(0.0..0.4),
+            0.05f64..0.5,
+        )
+            .prop_map(
+                |((diastolic_mmhg, pp), (ptt_s, rise_s), decay_s, notch_frac, notch_delay_s)| {
+                    AbpMorphology {
+                        systolic_mmhg: diastolic_mmhg + pp,
+                        diastolic_mmhg,
+                        ptt_s,
+                        rise_s,
+                        decay_s,
+                        notch_frac,
+                        notch_delay_s,
+                    }
+                },
+            )
+    }
+
+    fn noise_params() -> impl Strategy<Value = NoiseParams> {
+        (
+            amplitude(0.0..0.5),
+            0.0f64..0.3,
+            0.05f64..0.5,
+            0.0f64..0.05,
+            49.0f64..61.0,
+        )
+            .prop_map(|(white_sigma, wander_amp, wander_hz, hum_amp, hum_hz)| {
+                NoiseParams {
+                    white_sigma,
+                    wander_amp,
+                    wander_hz,
+                    hum_amp,
+                    hum_hz,
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random morphologies and beat trains: zero and negative
+        /// amplitudes, `notch_frac = 0`, `white_sigma = 0`, records
+        /// shorter than one beat, beats starting before the record and
+        /// running past its end (so the first and last beats take the
+        /// default RR stretches), at several sample rates.
+        #[test]
+        fn random_morphologies_are_bit_exact(
+            morph in (ecg_morphology(), abp_morphology(), noise_params(), noise_params()),
+            first in -0.8f64..1.2,
+            gaps in prop::collection::vec(0.25f64..1.8, 0..12),
+            duration_s in 0.05f64..9.0,
+            fs_seed in (0usize..4, any::<u64>()),
+        ) {
+            let (ecg, abp, ecg_noise, abp_noise) = morph;
+            let subject = Subject {
+                ecg,
+                abp,
+                ecg_noise,
+                abp_noise,
+                ..bank()[0].clone()
+            };
+            let mut r_times = vec![first];
+            for gap in gaps {
+                let last = r_times[r_times.len() - 1];
+                r_times.push(last + gap);
+            }
+            let (fs_pick, seed) = fs_seed;
+            let fs = [360.0, 125.0, 250.0, 500.0][fs_pick];
+            assert_kernels_exact(&subject, &r_times, duration_s, seed, fs, "proptest");
+        }
+    }
+}

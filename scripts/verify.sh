@@ -20,6 +20,11 @@ cargo test -q --test resample_props
 # ordered-parallel core, so its thread-count invariance is part of the
 # harness too.
 cargo test -q --test campaign_props
+# Reference synthesis is bit-exact against its historical per-sample
+# kernels (bank and 1,024-subject population sweeps, a proptest over
+# random morphologies, pinned sample hashes); every digest below rests
+# on it.
+cargo test -q -p physio-sim
 
 # Detector-zoo certification: the backend-parameterized conformance
 # suite (runs every property against BackendKind::ALL) plus the
@@ -108,8 +113,10 @@ fi
 # digest differs between 1, 2, and 8 worker threads or if the reorder
 # window overflows its bound; on top of that, the digest must match the
 # committed baseline byte-for-byte — it is a pure function of the seed,
-# device count, and duration. Throughput against the 10x target is
-# warn-only: wall-clock speedup is machine-dependent.
+# device count, and duration. The Turbo/Reference throughput ratio (the
+# bin times a Reference-synthesis slice of the same spec in the same
+# process) against the 10x target is warn-only: wall-clock ratios are
+# machine-dependent.
 xl_baseline=results/BENCH_fleet_xl.json
 if [[ -f "$xl_baseline" ]]; then
   cargo run --release -q -p bench --bin fleet_xl -- \
@@ -123,12 +130,12 @@ if [[ -f "$xl_baseline" ]]; then
     exit 1
   fi
   echo "verify: fleet_xl slab digest matches baseline ($base_digest)"
-  speedup=$(grep -o '"speedup_vs_resident_baseline": [0-9.]*' \
+  speedup=$(grep -o '"turbo_vs_reference_speedup": [0-9.]*' \
     /tmp/BENCH_fleet_xl.verify.json | grep -o '[0-9.]*$' || echo 0)
   if awk -v s="$speedup" 'BEGIN { exit !(s < 10.0) }'; then
-    echo "verify: WARN fleet_xl speedup ${speedup}x below the 10x target (wall-clock, machine-dependent)"
+    echo "verify: WARN fleet_xl Turbo/Reference ratio ${speedup}x below the 10x target (wall-clock, machine-dependent)"
   else
-    echo "verify: fleet_xl speedup ${speedup}x meets the 10x target"
+    echo "verify: fleet_xl Turbo/Reference ratio ${speedup}x meets the 10x target"
   fi
 else
   echo "verify: WARN no fleet_xl baseline at $xl_baseline; skipping slab gate"
@@ -204,5 +211,24 @@ if [[ -f "$campaign_baseline" ]]; then
 else
   echo "verify: WARN no campaign baseline at $campaign_baseline; skipping campaign diff"
 fi
+
+# Paper results: regenerate the six committed paper tables and figures
+# and hard-diff each against results/. Every bin is seeded, so any drift
+# means the simulation (for table2, over 1200 s Reference records) moved.
+# table2 prints its wall time on a `completed in` line; only that line is
+# exempt from the diff.
+for bin in table1 table2 table3 fig3 roc ablation; do
+  committed=results/$bin.txt
+  fresh=/tmp/$bin.verify.txt
+  cargo run --release -q -p bench --bin "$bin" >"$fresh"
+  if diff -u <(grep -v '^completed in ' "$committed") \
+             <(grep -v '^completed in ' "$fresh") >/dev/null; then
+    echo "verify: $committed matches the regenerated output"
+  else
+    echo "verify: FAIL $committed drifted from bench --bin $bin:"
+    diff -u "$committed" "$fresh" || true
+    exit 1
+  fi
+done
 
 echo "verify: OK"
