@@ -25,6 +25,11 @@ cargo test -q --test campaign_props
 # random morphologies, pinned sample hashes); every digest below rests
 # on it.
 cargo test -q -p physio-sim
+# The Amulet flavor's fused ADC front end is bit-exact against the
+# previous three-buffer front end, kept as a test oracle (bank windows,
+# a proptest over hostile snippets, exhaustive code boundaries); the
+# flavor's own unit tests live in the sift package too.
+cargo test -q -p sift
 
 # Detector-zoo certification: the backend-parameterized conformance
 # suite (runs every property against BackendKind::ALL) plus the
