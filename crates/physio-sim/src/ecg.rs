@@ -25,6 +25,8 @@
 //! decision, never a sample's value. DESIGN.md §14 gives the error
 //! budget.
 
+use std::ops::{Bound, Range, RangeBounds};
+
 /// Log-domain margin (nats) by which the skipped terms' keys must clear
 /// the term (or running sample) that absorbs them. The rounding rule
 /// needs `ln 10 + 54·ln 2 ≈ 39.7` nats for up to five skipped terms,
@@ -323,20 +325,35 @@ pub fn render_turbo(
     (out, r_peaks)
 }
 
-/// Render a noise-free ECG trace.
+/// Render a noise-free ECG trace over the sample range `span` of a
+/// `duration_s` record (`..` renders the whole record).
 ///
 /// `r_times` are R-peak times in seconds (as produced by
-/// [`crate::rr::RrProcess::beat_times`]); the output covers
-/// `duration_s` at `fs` Hz. Returns the samples and the ground-truth
-/// R-peak sample indices that fall inside the rendered range.
+/// [`crate::rr::RrProcess::beat_times`]); the record covers
+/// `duration_s` at `fs` Hz. Returns the samples of `span` and the
+/// ground-truth R-peak sample indices (record indices, not span
+/// offsets) that fall inside it.
+///
+/// Each beat only touches samples within its own support, and a
+/// sample's value depends only on the beats that reach it, taken in
+/// beat order. So every sample of a span is bit-identical to the same
+/// sample of the whole record: beats whose support misses the span are
+/// skipped, and the others run exactly as they would for the whole
+/// record, clipped to the span.
+///
+/// # Panics
+///
+/// Panics if `span` reaches past the record's end.
 pub fn render(
     morph: &EcgMorphology,
     r_times: &[f64],
     duration_s: f64,
     fs: f64,
+    span: impl RangeBounds<usize>,
 ) -> (Vec<f64>, Vec<usize>) {
     let n = (duration_s * fs).round() as usize;
-    let mut out = vec![0.0f64; n];
+    let span = sample_range(span, n);
+    let mut out = vec![0.0f64; span.len()];
     let ln_amp = morph.waves().map(|w| w.amplitude_mv.abs().ln());
     // Each beat contributes only within ±0.6·RR of its R peak, so render
     // beat-locally instead of summing all beats per sample.
@@ -349,13 +366,17 @@ pub fn render(
         };
         let lo = ((rt - 0.6 * rr_prev) * fs).floor().max(0.0) as usize;
         let hi = (((rt + 0.75 * rr_next) * fs).ceil() as usize).min(n);
+        let (lo, hi) = (lo.max(span.start), hi.min(span.end));
+        if lo >= hi {
+            continue; // beat support misses the span
+        }
         // The beat whose R peak this is: use next RR for waves after
         // R (T wave), previous RR for waves before it (P wave). Both
         // stretches are fixed for the beat, so the five per-wave
         // `powf`s are hoisted out of the sample loop.
         let before = morph.prepare(rr_prev, ln_amp);
         let after = morph.prepare(rr_next, ln_amp);
-        for (i, sample) in out.iter_mut().enumerate().take(hi).skip(lo) {
+        for (i, sample) in (lo..hi).zip(&mut out[lo - span.start..hi - span.start]) {
             let tau = i as f64 / fs - rt;
             let prepared = if tau >= 0.0 { &after } else { &before };
             *sample += prepared.absorbed_at(tau, *sample);
@@ -364,9 +385,32 @@ pub fn render(
     let r_peaks = r_times
         .iter()
         .map(|t| (t * fs).round() as usize)
-        .filter(|&i| i < n)
+        .filter(|i| span.contains(i))
         .collect();
     (out, r_peaks)
+}
+
+/// Resolve `span` against a record of `n` samples.
+///
+/// # Panics
+///
+/// Panics if the span is reversed or reaches past `n`.
+fn sample_range(span: impl RangeBounds<usize>, n: usize) -> Range<usize> {
+    let start = match span.start_bound() {
+        Bound::Included(&s) => s,
+        Bound::Excluded(&s) => s + 1,
+        Bound::Unbounded => 0,
+    };
+    let end = match span.end_bound() {
+        Bound::Included(&e) => e + 1,
+        Bound::Excluded(&e) => e,
+        Bound::Unbounded => n,
+    };
+    assert!(
+        start <= end && end <= n,
+        "span {start}..{end} outside a record of {n} samples"
+    );
+    start..end
 }
 
 /// The historical per-sample kernel, kept as the oracle [`render`] must
@@ -409,7 +453,7 @@ mod tests {
     fn r_peak_is_global_max_of_clean_beat() {
         let m = EcgMorphology::default();
         let fs = 360.0;
-        let (sig, peaks) = render(&m, &[1.0, 1.9, 2.8], 3.5, fs);
+        let (sig, peaks) = render(&m, &[1.0, 1.9, 2.8], 3.5, fs, ..);
         for &p in &peaks {
             // R sample should dominate its ±0.3 s neighbourhood.
             let lo = p.saturating_sub(100);
@@ -446,14 +490,14 @@ mod tests {
     #[test]
     fn render_length_matches_duration() {
         let m = EcgMorphology::default();
-        let (sig, _) = render(&m, &[0.5], 2.0, 360.0);
+        let (sig, _) = render(&m, &[0.5], 2.0, 360.0, ..);
         assert_eq!(sig.len(), 720);
     }
 
     #[test]
     fn peaks_outside_duration_are_dropped() {
         let m = EcgMorphology::default();
-        let (_, peaks) = render(&m, &[0.5, 1.5, 9.0], 2.0, 360.0);
+        let (_, peaks) = render(&m, &[0.5, 1.5, 9.0], 2.0, 360.0, ..);
         assert_eq!(peaks.len(), 2);
     }
 
@@ -481,7 +525,7 @@ mod tests {
         let m = EcgMorphology::default();
         // Irregular beat train exercises both stretch directions.
         let r_times = [0.5, 1.2, 2.3, 3.0, 3.6, 4.8];
-        let (reference, ref_peaks) = render(&m, &r_times, 5.5, 360.0);
+        let (reference, ref_peaks) = render(&m, &r_times, 5.5, 360.0, ..);
         let (turbo, turbo_peaks) = render_turbo(&m, &r_times, 5.5, 360.0);
         assert_eq!(ref_peaks, turbo_peaks);
         assert_eq!(reference.len(), turbo.len());

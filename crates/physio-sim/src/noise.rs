@@ -5,7 +5,7 @@
 //! power-line hum.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Configuration of the additive noise mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,7 +62,8 @@ impl NoiseParams {
 const NOISE_BLOCK: usize = 256;
 
 /// Add the configured noise mix to `signal` in place, deterministically
-/// from `seed`.
+/// from `seed`. `signal` holds the record samples `first..first +
+/// signal.len()`; a whole record starts at `first = 0`.
 ///
 /// Per block of 256 samples (`NOISE_BLOCK`), one pass draws the Box–Muller
 /// deviates (in the historical per-sample RNG order) into a stack
@@ -70,13 +71,25 @@ const NOISE_BLOCK: usize = 256;
 /// historical per-sample operation order — so the output is bit for bit
 /// the one-pass interleaved loop's, with the RNG and the `sin` calls no
 /// longer serialized against each other.
-pub fn apply(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64) {
+///
+/// Every sample's noise is a function of its record index and its two
+/// RNG draws alone: the sinusoids are closed-form in `t`, and each
+/// `gen_range` takes exactly one `next_u64`. So a span starting at
+/// `first` skips the `2·first` draws of the samples before it (none when
+/// white noise is off) and is bit-identical to the same samples of the
+/// whole record.
+pub fn apply(signal: &mut [f64], first: usize, params: &NoiseParams, fs: f64, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let two_pi = 2.0 * std::f64::consts::PI;
     // Random phases so different records don't share wander alignment.
     let wander_phase: f64 = rng.gen_range(0.0..two_pi);
     let hum_phase: f64 = rng.gen_range(0.0..two_pi);
     let white = params.white_sigma > 0.0;
+    if white {
+        for _ in 0..2 * first {
+            rng.next_u64();
+        }
+    }
     let mut gauss = [0.0f64; NOISE_BLOCK];
     for (b, block) in signal.chunks_mut(NOISE_BLOCK).enumerate() {
         let gauss = &mut gauss[..block.len()];
@@ -87,9 +100,9 @@ pub fn apply(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64) {
                 *g = (-2.0 * u1.ln()).sqrt() * (two_pi * u2).cos();
             }
         }
-        let first = b * NOISE_BLOCK;
+        let block_first = first + b * NOISE_BLOCK;
         for (k, (x, &g)) in block.iter_mut().zip(gauss.iter()).enumerate() {
-            let t = (first + k) as f64 / fs;
+            let t = (block_first + k) as f64 / fs;
             let mut add = 0.0;
             if white {
                 add += params.white_sigma * g;
@@ -195,7 +208,7 @@ mod tests {
     #[test]
     fn none_is_identity() {
         let mut sig = vec![1.0; 100];
-        apply(&mut sig, &NoiseParams::none(), 360.0, 1);
+        apply(&mut sig, 0, &NoiseParams::none(), 360.0, 1);
         assert!(sig.iter().all(|x| (*x - 1.0).abs() < 1e-12));
     }
 
@@ -204,8 +217,8 @@ mod tests {
         let mut a = vec![0.0; 500];
         let mut b = vec![0.0; 500];
         let p = NoiseParams::default();
-        apply(&mut a, &p, 360.0, 9);
-        apply(&mut b, &p, 360.0, 9);
+        apply(&mut a, 0, &p, 360.0, 9);
+        apply(&mut b, 0, &p, 360.0, 9);
         assert_eq!(a, b);
     }
 
@@ -214,8 +227,8 @@ mod tests {
         let mut a = vec![0.0; 500];
         let mut b = vec![0.0; 500];
         let p = NoiseParams::default();
-        apply(&mut a, &p, 360.0, 1);
-        apply(&mut b, &p, 360.0, 2);
+        apply(&mut a, 0, &p, 360.0, 1);
+        apply(&mut b, 0, &p, 360.0, 2);
         assert_ne!(a, b);
     }
 
@@ -228,7 +241,7 @@ mod tests {
             hum_amp: 0.0,
             ..NoiseParams::default()
         };
-        apply(&mut sig, &p, 360.0, 4);
+        apply(&mut sig, 0, &p, 360.0, 4);
         let sd = dsp::stats::std_dev(&sig).unwrap();
         assert!((sd - 0.5).abs() < 0.05, "sd={sd}");
     }
@@ -317,7 +330,7 @@ mod tests {
             hum_amp: 0.0,
             ..NoiseParams::default()
         };
-        apply(&mut sig, &p, 360.0, 5);
+        apply(&mut sig, 0, &p, 360.0, 5);
         let (lo, hi) = dsp::stats::min_max(&sig).unwrap();
         assert!(lo >= -0.31 && hi <= 0.31);
         assert!(hi - lo > 0.3, "wander should actually oscillate");

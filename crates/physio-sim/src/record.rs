@@ -11,6 +11,7 @@ use crate::noise;
 use crate::rr::RrProcess;
 use crate::subject::{Subject, SubjectId};
 use crate::SAMPLE_RATE_HZ;
+use std::ops::Range;
 
 /// Which synthesis kernels render a record.
 ///
@@ -163,10 +164,10 @@ impl Record {
             r_times.windows(2).all(|w| w[1] > w[0]),
             "beat times must be strictly increasing"
         );
-        let (mut ecg_sig, r_peaks) = ecg::render(&subject.ecg, r_times, duration_s, fs);
+        let (mut ecg_sig, r_peaks) = ecg::render(&subject.ecg, r_times, duration_s, fs, ..);
         let (mut abp_sig, sys_peaks) = abp::render(&subject.abp, r_times, duration_s, fs);
-        noise::apply(&mut ecg_sig, &subject.ecg_noise, fs, seed ^ 0xEC6);
-        noise::apply(&mut abp_sig, &subject.abp_noise, fs, seed ^ 0xAB9);
+        noise::apply(&mut ecg_sig, 0, &subject.ecg_noise, fs, seed ^ 0xEC6);
+        noise::apply(&mut abp_sig, 0, &subject.abp_noise, fs, seed ^ 0xAB9);
         Record {
             subject: subject.id,
             fs,
@@ -174,6 +175,35 @@ impl Record {
             abp: abp_sig,
             r_peaks,
             sys_peaks,
+        }
+    }
+
+    /// The ECG channel of `Record::synthesize(subject, duration_s,
+    /// seed)` over the sample range `span` only, without rendering the
+    /// rest of the record or its ABP channel. The samples and R peaks
+    /// are bit-identical to the matching slice of the whole record
+    /// (DESIGN.md §16).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` reaches past the record's end.
+    pub fn synthesize_ecg_span(
+        subject: &Subject,
+        duration_s: f64,
+        seed: u64,
+        span: Range<usize>,
+    ) -> EcgSpan {
+        let fs = SAMPLE_RATE_HZ;
+        let r_times = RrProcess::new(subject.rr, seed).beat_times(0.4, duration_s);
+        let (mut ecg_sig, r_peaks) =
+            ecg::render(&subject.ecg, &r_times, duration_s, fs, span.clone());
+        let salted = seed ^ 0xEC6;
+        noise::apply(&mut ecg_sig, span.start, &subject.ecg_noise, fs, salted);
+        EcgSpan {
+            record_len: (duration_s * fs).round() as usize,
+            start: span.start,
+            ecg: ecg_sig,
+            r_peaks,
         }
     }
 
@@ -262,6 +292,66 @@ impl Record {
             abp: self.abp[start..end].to_vec(),
             r_peaks: shift(&self.r_peaks),
             sys_peaks: shift(&self.sys_peaks),
+        }
+    }
+}
+
+/// A contiguous run of one record's ECG channel: what an attacker that
+/// splices a donor's (or an earlier) ECG into a stream reads, cut from
+/// a record it never needs whole. Indices are record indices.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EcgSpan {
+    /// Length, in samples, of the whole record the span is cut from.
+    pub record_len: usize,
+    /// Record index of `ecg[0]`.
+    pub start: usize,
+    /// ECG samples `start..start + ecg.len()`, millivolts.
+    pub ecg: Vec<f64>,
+    /// The record's R-peak indices inside the span (ascending).
+    pub r_peaks: Vec<usize>,
+}
+
+impl EcgSpan {
+    /// Record index one past the span's last sample.
+    pub fn end(&self) -> usize {
+        self.start + self.ecg.len()
+    }
+
+    /// The samples at record indices `from..from + len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that range is not inside the span.
+    pub fn samples(&self, from: usize, len: usize) -> &[f64] {
+        assert!(
+            from >= self.start && from + len <= self.end(),
+            "read {from}..{} outside the ECG span {}..{}",
+            from + len,
+            self.start,
+            self.end()
+        );
+        &self.ecg[from - self.start..from - self.start + len]
+    }
+
+    /// The R peaks at record indices `from..from + len`, as offsets
+    /// from `from`.
+    pub fn peaks_in(&self, from: usize, len: usize) -> Vec<usize> {
+        self.r_peaks
+            .iter()
+            .filter(|&&p| p >= from && p < from + len)
+            .map(|&p| p - from)
+            .collect()
+    }
+}
+
+impl From<Record> for EcgSpan {
+    /// The whole record's ECG.
+    fn from(rec: Record) -> Self {
+        Self {
+            record_len: rec.ecg.len(),
+            start: 0,
+            ecg: rec.ecg,
+            r_peaks: rec.r_peaks,
         }
     }
 }
@@ -566,7 +656,7 @@ mod exactness {
         fs: f64,
         what: &str,
     ) {
-        let (ecg_sig, _) = ecg::render(&subject.ecg, r_times, duration_s, fs);
+        let (ecg_sig, _) = ecg::render(&subject.ecg, r_times, duration_s, fs, ..);
         let ecg_ref = ecg::render_oracle(&subject.ecg, r_times, duration_s, fs);
         assert_bits_eq(&ecg_sig, &ecg_ref, &format!("{what} ecg"));
         let (abp_sig, _) = abp::render(&subject.abp, r_times, duration_s, fs);
@@ -577,7 +667,7 @@ mod exactness {
             (abp_ref, &subject.abp_noise, 0xAB9, "abp noise"),
         ] {
             let mut got = clean.clone();
-            noise::apply(&mut got, params, fs, seed ^ salt);
+            noise::apply(&mut got, 0, params, fs, seed ^ salt);
             let mut want = clean;
             noise::apply_oracle(&mut want, params, fs, seed ^ salt);
             assert_bits_eq(&got, &want, &format!("{what} {channel}"));
@@ -658,6 +748,126 @@ mod exactness {
         }
     }
 
+    /// `Record::synthesize_ecg_span` against the same span of the whole
+    /// record `whole` (`Record::synthesize(subject, duration_s, seed)`).
+    fn assert_span_exact(
+        subject: &Subject,
+        duration_s: f64,
+        seed: u64,
+        whole: &Record,
+        span: Range<usize>,
+        what: &str,
+    ) {
+        let what = format!("{what} span {span:?}");
+        let got = Record::synthesize_ecg_span(subject, duration_s, seed, span.clone());
+        assert_eq!(got.record_len, whole.len(), "{what}: record_len");
+        assert_eq!((got.start, got.end()), (span.start, span.end), "{what}: bounds");
+        assert_bits_eq(&got.ecg, &whole.ecg[span.clone()], &what);
+        let peaks: Vec<usize> = whole
+            .r_peaks
+            .iter()
+            .copied()
+            .filter(|p| span.contains(p))
+            .collect();
+        assert_eq!(got.r_peaks, peaks, "{what}: r_peaks");
+    }
+
+    /// The campaign attack window (16–40 s) plus spans that cut the
+    /// record awkwardly: empty ones, the whole record, its first and
+    /// last sample, spans starting inside the first and last beats'
+    /// support, at an R peak, and between two beats where one beat's T
+    /// wave meets the next one's P wave.
+    fn edge_spans(whole: &Record) -> Vec<Range<usize>> {
+        let n = whole.len();
+        let at = |s: f64| ((s * whole.fs) as usize).min(n);
+        let mut spans = vec![0..0, n / 2..n / 2, n..n, 0..n, 0..1, n - 1..n, at(16.0)..at(40.0)];
+        let p = &whole.r_peaks;
+        spans.push(p[0].saturating_sub(20)..(p[0] + 300).min(n));
+        spans.push(p[0]..n);
+        spans.push(p[0] + 1..p[1]);
+        let mid = (p[1] + p[2]) / 2;
+        spans.push(mid..(mid + 977).min(n));
+        let last = p[p.len() - 1];
+        spans.push(last.saturating_sub(30)..n);
+        spans.push(last..last + 1);
+        spans.push((last + 40).min(n - 1)..n);
+        spans
+    }
+
+    fn span_sweep(subject: &Subject, seed: u64, what: &str) {
+        let whole = Record::synthesize(subject, 56.0, seed);
+        for span in edge_spans(&whole) {
+            assert_span_exact(subject, 56.0, seed, &whole, span, what);
+        }
+    }
+
+    #[test]
+    fn ecg_span_is_the_whole_records_slice_on_the_bank() {
+        for (i, subject) in bank().iter().enumerate() {
+            span_sweep(subject, 2000 + i as u64, &format!("bank {i}"));
+        }
+    }
+
+    #[test]
+    fn ecg_span_without_white_noise_skips_no_draws() {
+        for i in [0usize, 6] {
+            let mut subject = bank()[i].clone();
+            subject.ecg_noise.white_sigma = 0.0;
+            span_sweep(&subject, 31 + i as u64, &format!("bank {i}, white_sigma 0"));
+        }
+    }
+
+    /// The 1,024-subject population at 56 s, in two halves: the attack
+    /// window and one span starting mid-record at a subject-dependent
+    /// offset (so it lands anywhere in a beat and a noise block).
+    fn population_span_half(half: usize) {
+        let subjects = population(1024, 61455);
+        for (i, subject) in subjects.iter().enumerate().skip(512 * half).take(512) {
+            let seed = 5000 + i as u64;
+            let whole = Record::synthesize(subject, 56.0, seed);
+            let n = whole.len();
+            let lo = n / 3 + (i * 37) % 360;
+            for span in [5760..14400, lo..lo + 2000] {
+                assert_span_exact(subject, 56.0, seed, &whole, span, &format!("population {i}"));
+            }
+            assert_eq!(n, 20160);
+        }
+    }
+
+    #[test]
+    fn ecg_span_is_the_whole_records_slice_on_the_population_h0() {
+        population_span_half(0);
+    }
+
+    #[test]
+    fn ecg_span_is_the_whole_records_slice_on_the_population_h1() {
+        population_span_half(1);
+    }
+
+    #[test]
+    fn whole_record_span_is_the_record() {
+        let rec = Record::synthesize(&bank()[4], 12.0, 3);
+        let span = EcgSpan::from(rec.clone());
+        assert_eq!((span.start, span.end(), span.record_len), (0, rec.len(), rec.len()));
+        assert_eq!(span.ecg, rec.ecg);
+        assert_eq!(span.r_peaks, rec.r_peaks);
+        assert_eq!(span.samples(100, 50), &rec.ecg[100..150]);
+        assert_eq!(span.peaks_in(0, rec.len()), rec.r_peaks);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the ECG span")]
+    fn reading_outside_a_span_panics() {
+        let span = Record::synthesize_ecg_span(&bank()[0], 10.0, 1, 360..720);
+        let _ = span.samples(300, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a record")]
+    fn a_span_past_the_record_end_panics() {
+        let _ = Record::synthesize_ecg_span(&bank()[0], 2.0, 1, 700..721);
+    }
+
     /// An amplitude that is exactly zero a quarter of the time.
     fn amplitude(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
         (0u8..4, range).prop_map(|(z, a)| if z == 0 { 0.0 } else { a })
@@ -733,7 +943,8 @@ mod exactness {
         /// amplitudes, `notch_frac = 0`, `white_sigma = 0`, records
         /// shorter than one beat, beats starting before the record and
         /// running past its end (so the first and last beats take the
-        /// default RR stretches), at several sample rates.
+        /// default RR stretches), at several sample rates; and a random
+        /// span of the ECG render and its noise pass.
         #[test]
         fn random_morphologies_are_bit_exact(
             morph in (ecg_morphology(), abp_morphology(), noise_params(), noise_params()),
@@ -741,6 +952,7 @@ mod exactness {
             gaps in prop::collection::vec(0.25f64..1.8, 0..12),
             duration_s in 0.05f64..9.0,
             fs_seed in (0usize..4, any::<u64>()),
+            cut in (any::<usize>(), any::<usize>()),
         ) {
             let (ecg, abp, ecg_noise, abp_noise) = morph;
             let subject = Subject {
@@ -758,6 +970,21 @@ mod exactness {
             let (fs_pick, seed) = fs_seed;
             let fs = [360.0, 125.0, 250.0, 500.0][fs_pick];
             assert_kernels_exact(&subject, &r_times, duration_s, seed, fs, "proptest");
+            // Any span of the ECG render and its noise pass is the
+            // same slice of the whole record's.
+            let n = (duration_s * fs).round() as usize;
+            let (a, b) = (cut.0 % (n + 1), cut.1 % (n + 1));
+            let span = a.min(b)..a.max(b);
+            let (whole, peaks) = ecg::render(&subject.ecg, &r_times, duration_s, fs, ..);
+            let (part, part_peaks) = ecg::render(&subject.ecg, &r_times, duration_s, fs, span.clone());
+            assert_bits_eq(&part, &whole[span.clone()], "proptest ecg span");
+            let in_span: Vec<usize> = peaks.into_iter().filter(|p| span.contains(p)).collect();
+            prop_assert_eq!(part_peaks, in_span);
+            let mut noisy = whole;
+            noise::apply(&mut noisy, 0, &subject.ecg_noise, fs, seed);
+            let mut noisy_part = part;
+            noise::apply(&mut noisy_part, span.start, &subject.ecg_noise, fs, seed);
+            assert_bits_eq(&noisy_part, &noisy[span], "proptest noise span");
         }
     }
 }

@@ -10,9 +10,11 @@
 //! paper's threat model).
 
 use crate::device::{SensorPacket, Stream};
-use physio_sim::record::Record;
+use crate::WiotError;
+use physio_sim::record::EcgSpan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Number of attack classes in the campaign taxonomy — the length of
 /// the per-class TP/FN arrays in [`crate::faults::FaultSummary`] and of
@@ -35,21 +37,26 @@ pub const ATTACK_CLASS_NAMES: [&str; ATTACK_CLASS_COUNT] = [
 ];
 
 /// What the adversary does to hijacked ECG packets.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The recordings a mode splices in are [`EcgSpan`]s: the attacker
+/// reads only their ECG, and only over the attack window, so a caller
+/// may render just that span of them; `EcgSpan::from(record)` hands
+/// over a whole record.
+#[derive(Debug, Clone)]
 pub enum AttackMode {
     /// Channel compromise: substitute another person's ECG (the paper's
     /// Table II attack).
     Substitute {
-        /// The donor recording supplying the fake waveform.
-        donor: Record,
+        /// The donor ECG supplying the fake waveform.
+        donor: EcgSpan,
     },
     /// Firmware compromise: replay the victim's own ECG from `offset_s`
     /// seconds earlier (reporting *old* measurements).
     Replay {
         /// How far back the replayed data comes from.
         offset_s: f64,
-        /// The victim's own recording the replay is cut from.
-        source: Record,
+        /// The victim's own ECG the replay is cut from.
+        source: EcgSpan,
     },
     /// Physical compromise: the sensor freezes at its last value.
     Freeze,
@@ -63,9 +70,9 @@ pub enum AttackMode {
     /// at a fixed mix ratio, keeping part of the genuine waveform to
     /// evade the detector.
     Mimicry {
-        /// The donor recording (campaign engines pick the population's
+        /// The donor ECG (campaign engines pick the population's
         /// nearest morphology neighbor).
-        donor: Record,
+        donor: EcgSpan,
         /// Donor share of the blend, 0–1000 (‰). 1000 degenerates to
         /// substitution, 0 to a passthrough that still counts as
         /// tampering.
@@ -77,8 +84,8 @@ pub enum AttackMode {
     ReplaySnr {
         /// How far back the replayed data comes from.
         offset_s: f64,
-        /// The victim's own recording the replay is cut from.
-        source: Record,
+        /// The victim's own ECG the replay is cut from.
+        source: EcgSpan,
         /// Replay SNR in dB; lower values bury the copy in noise.
         snr_db: f64,
     },
@@ -87,8 +94,8 @@ pub enum AttackMode {
     /// leaving the rest genuine — probing the detector's sensitivity to
     /// sub-window tampering.
     PartialWindow {
-        /// The donor recording supplying the fake waveform.
-        donor: Record,
+        /// The donor ECG supplying the fake waveform.
+        donor: EcgSpan,
         /// Detection-window length in ms (the injection duty period).
         window_ms: u64,
         /// Fraction of each window that is tampered, 0–1000 (‰).
@@ -100,16 +107,16 @@ pub enum AttackMode {
     /// (riding a Gilbert–Elliott burst-loss channel) from the lone
     /// attacker.
     Coordinated {
-        /// The donor recording shared by the attacking wave.
-        donor: Record,
+        /// The donor ECG shared by the attacking wave.
+        donor: EcgSpan,
     },
     /// Adaptive threshold-probing: blends like mimicry, but bisects its
     /// blend factor against detector feedback ([`Attacker::feedback`])
     /// — alerted probes lower the blend, unnoticed probes raise it —
     /// converging on the detector's decision threshold.
     Adaptive {
-        /// The donor recording supplying the fake waveform.
-        donor: Record,
+        /// The donor ECG supplying the fake waveform.
+        donor: EcgSpan,
     },
 }
 
@@ -357,78 +364,157 @@ impl Attacker {
     }
 }
 
+/// Record index of the donor sample aligned with a packet starting at
+/// `start_sample` (substitution and blending): the session position,
+/// wrapped into the donor record.
+fn donor_start(start_sample: usize, len: usize, record_len: usize) -> usize {
+    start_sample % (record_len - len).max(1)
+}
+
+/// Record index of the source sample a replay `offset_s` seconds back
+/// copies into a packet starting at `start_sample`.
+fn replay_start(
+    start_sample: usize,
+    len: usize,
+    record_len: usize,
+    offset_s: f64,
+    fs: f64,
+) -> usize {
+    let shift = (offset_s * fs).round() as usize;
+    start_sample.saturating_sub(shift).min(record_len - len)
+}
+
 /// Overwrite the packet with the aligned donor slice (the substitution
 /// payload). Returns `false` without touching the packet when the donor
 /// recording is shorter than one chunk.
-fn substitute_from(packet: &mut SensorPacket, donor: &Record) -> bool {
+fn substitute_from(packet: &mut SensorPacket, donor: &EcgSpan) -> bool {
     let len = packet.samples.len();
-    if donor.ecg.len() < len {
+    if donor.record_len < len {
         return false;
     }
-    let start = packet.start_sample % (donor.ecg.len() - len).max(1);
-    packet
-        .samples
-        .copy_from_slice(&donor.ecg[start..start + len]);
-    packet.peaks = donor
-        .r_peaks
-        .iter()
-        .filter(|&&p| p >= start && p < start + len)
-        .map(|&p| p - start)
-        .collect();
+    let start = donor_start(packet.start_sample, len, donor.record_len);
+    packet.samples.copy_from_slice(donor.samples(start, len));
+    packet.peaks = donor.peaks_in(start, len);
     true
 }
 
 /// Overwrite the packet with the source slice from `offset_s` seconds
 /// earlier (the replay payload). Returns `false` when the source is
 /// shorter than one chunk.
-fn replay_from(packet: &mut SensorPacket, source: &Record, offset_s: f64, fs: f64) -> bool {
+fn replay_from(packet: &mut SensorPacket, source: &EcgSpan, offset_s: f64, fs: f64) -> bool {
     let len = packet.samples.len();
-    if source.ecg.len() < len {
+    if source.record_len < len {
         return false;
     }
-    let shift = (offset_s * fs).round() as usize;
-    let start = packet.start_sample.saturating_sub(shift);
-    let start = start.min(source.ecg.len() - len);
-    packet
-        .samples
-        .copy_from_slice(&source.ecg[start..start + len]);
-    packet.peaks = source
-        .r_peaks
-        .iter()
-        .filter(|&&p| p >= start && p < start + len)
-        .map(|&p| p - start)
-        .collect();
+    let start = replay_start(packet.start_sample, len, source.record_len, offset_s, fs);
+    packet.samples.copy_from_slice(source.samples(start, len));
+    packet.peaks = source.peaks_in(start, len);
     true
 }
 
 /// Mix the aligned donor slice into the packet at `blend_permille` ‰
 /// donor share. Peak annotations follow the majority contributor. Returns
 /// `false` when the donor is shorter than one chunk.
-fn blend_from(packet: &mut SensorPacket, donor: &Record, blend_permille: u16) -> bool {
+fn blend_from(packet: &mut SensorPacket, donor: &EcgSpan, blend_permille: u16) -> bool {
     let len = packet.samples.len();
-    if donor.ecg.len() < len {
+    if donor.record_len < len {
         return false;
     }
-    let start = packet.start_sample % (donor.ecg.len() - len).max(1);
+    let start = donor_start(packet.start_sample, len, donor.record_len);
     let b = f64::from(blend_permille.min(1000)) / 1000.0;
-    for (s, d) in packet.samples.iter_mut().zip(&donor.ecg[start..start + len]) {
+    for (s, d) in packet.samples.iter_mut().zip(donor.samples(start, len)) {
         *s = b * d + (1.0 - b) * *s;
     }
     if blend_permille >= 500 {
-        packet.peaks = donor
-            .r_peaks
-            .iter()
-            .filter(|&&p| p >= start && p < start + len)
-            .map(|&p| p - start)
-            .collect();
+        packet.peaks = donor.peaks_in(start, len);
     }
     true
+}
+
+/// The smallest sample range of a `session_len`-sample donor or replay
+/// record that [`Attacker::intercept`] can read during the attack
+/// `window_ms` of a [`crate::scenario::DeviceSim`] session streaming
+/// `chunk_s`-second ECG packets at `fs` Hz. `replay_offset_s` is the
+/// replay classes' offset, `None` for the donor classes.
+///
+/// It walks the packets the device will emit, exactly as the device
+/// times and cuts them, and takes the hull of the ranges the attack's
+/// splice reads for those inside the window. Rendering only this span
+/// of the record leaves every intercepted packet unchanged. Empty when
+/// nothing is read: no packet falls in the window, or the record is
+/// shorter than one chunk.
+pub(crate) fn ecg_read_span(
+    window_ms: (u64, u64),
+    chunk_s: f64,
+    fs: f64,
+    session_len: usize,
+    replay_offset_s: Option<f64>,
+) -> Range<usize> {
+    let len = crate::device::chunk_len(chunk_s, fs);
+    let chunk_ms = crate::scenario::secs_to_ms(chunk_s);
+    if session_len < len {
+        return 0..0;
+    }
+    let (mut lo, mut hi) = (usize::MAX, 0);
+    for k in 0..session_len / len {
+        let now_ms = (k as u64).saturating_mul(chunk_ms);
+        if !(window_ms.0..window_ms.1).contains(&now_ms) {
+            continue;
+        }
+        let start = match replay_offset_s {
+            Some(offset_s) => replay_start(k * len, len, session_len, offset_s, fs),
+            None => donor_start(k * len, len, session_len),
+        };
+        lo = lo.min(start);
+        hi = hi.max(start + len);
+    }
+    if lo < hi {
+        lo..hi
+    } else {
+        0..0
+    }
+}
+
+/// The attack window `[start_s, end_s)` of a `duration_s` session in
+/// the milliseconds [`Attacker`] runs on, converted exactly as the
+/// device converts it.
+///
+/// # Errors
+///
+/// [`WiotError::InvalidScenario`] unless both ends are finite, the
+/// start is non-negative, the end is inside the session, and the window
+/// is still non-empty in whole milliseconds.
+pub(crate) fn attack_window_ms(
+    start_s: f64,
+    end_s: f64,
+    duration_s: f64,
+) -> Result<(u64, u64), WiotError> {
+    let (start_ms, end_ms) = (
+        crate::scenario::secs_to_ms(start_s),
+        crate::scenario::secs_to_ms(end_s),
+    );
+    if !(start_s.is_finite() && end_s.is_finite())
+        || start_s < 0.0
+        || end_s > duration_s
+        || start_ms >= end_ms
+    {
+        return Err(WiotError::InvalidScenario {
+            reason: "attack window must be finite, non-negative, inside the session and at least 1 ms long",
+        });
+    }
+    Ok((start_ms, end_ms))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use physio_sim::subject::bank;
+    use physio_sim::record::Record;
+    use physio_sim::subject::{bank, Subject};
+
+    /// A whole record's ECG.
+    pub(super) fn whole(subject: &Subject, duration_s: f64, seed: u64) -> EcgSpan {
+        Record::synthesize(subject, duration_s, seed).into()
+    }
 
     fn ecg_packet(start_sample: usize, len: usize) -> SensorPacket {
         SensorPacket {
@@ -442,7 +528,7 @@ mod tests {
 
     #[test]
     fn inactive_outside_window() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = whole(&bank()[1], 10.0, 1);
         let mut a = Attacker::new(AttackMode::Substitute { donor }, 1000, 2000, 0);
         let p = ecg_packet(0, 180);
         let out = a.intercept(500, p.clone(), 360.0);
@@ -454,7 +540,7 @@ mod tests {
 
     #[test]
     fn substitute_swaps_waveform() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = whole(&bank()[1], 10.0, 1);
         let mut a = Attacker::new(
             AttackMode::Substitute {
                 donor: donor.clone(),
@@ -495,7 +581,7 @@ mod tests {
 
     #[test]
     fn replay_shifts_backwards() {
-        let source = physio_sim::record::Record::synthesize(&bank()[0], 20.0, 3);
+        let source = whole(&bank()[0], 20.0, 3);
         let mut a = Attacker::new(
             AttackMode::Replay {
                 offset_s: 5.0,
@@ -554,7 +640,7 @@ mod tests {
 
     #[test]
     fn mimicry_interpolates_between_victim_and_donor() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = whole(&bank()[1], 10.0, 1);
         let full = |b| AttackMode::Mimicry {
             donor: donor.clone(),
             blend_permille: b,
@@ -586,7 +672,7 @@ mod tests {
 
     #[test]
     fn partial_window_tampering_respects_coverage() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = whole(&bank()[1], 10.0, 1);
         let mut a = Attacker::new(
             AttackMode::PartialWindow {
                 donor: donor.clone(),
@@ -609,7 +695,7 @@ mod tests {
 
     #[test]
     fn replay_snr_is_a_noisy_replay() {
-        let source = physio_sim::record::Record::synthesize(&bank()[0], 20.0, 3);
+        let source = whole(&bank()[0], 20.0, 3);
         let clean = |p: SensorPacket| {
             let mut a = Attacker::new(
                 AttackMode::Replay {
@@ -654,7 +740,7 @@ mod tests {
 
     #[test]
     fn adaptive_bisection_converges_on_the_threshold() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = whole(&bank()[1], 10.0, 1);
         let mut a = Attacker::new(
             AttackMode::Adaptive {
                 donor: donor.clone(),
@@ -693,7 +779,7 @@ mod tests {
 
     #[test]
     fn class_indexes_and_names_are_consistent() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 2.0, 1);
+        let donor = whole(&bank()[1], 2.0, 1);
         let modes = [
             AttackMode::Substitute {
                 donor: donor.clone(),
@@ -732,7 +818,7 @@ mod tests {
 
     #[test]
     fn coordinated_is_substitution_with_its_own_tag() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = whole(&bank()[1], 10.0, 1);
         let mut s = Attacker::new(
             AttackMode::Substitute {
                 donor: donor.clone(),
@@ -753,9 +839,9 @@ mod tests {
 
 #[cfg(test)]
 mod short_source_tests {
+    use super::tests::whole;
     use super::*;
     use crate::device::{SensorPacket, Stream};
-    use physio_sim::record::Record;
     use physio_sim::subject::bank;
 
     fn big_packet() -> SensorPacket {
@@ -770,7 +856,7 @@ mod short_source_tests {
 
     #[test]
     fn substitute_with_short_donor_passes_through() {
-        let donor = Record::synthesize(&bank()[1], 1.0, 1); // 360 samples < 720
+        let donor = whole(&bank()[1], 1.0, 1); // 360 samples < 720
         let mut a = Attacker::new(AttackMode::Substitute { donor }, 0, 10_000, 0);
         let p = big_packet();
         let out = a.intercept(5, p.clone(), 360.0);
@@ -780,7 +866,7 @@ mod short_source_tests {
 
     #[test]
     fn replay_with_short_source_passes_through() {
-        let source = Record::synthesize(&bank()[0], 1.0, 2);
+        let source = whole(&bank()[0], 1.0, 2);
         let mut a = Attacker::new(
             AttackMode::Replay {
                 offset_s: 5.0,

@@ -29,19 +29,22 @@
 //! ([`wilson_permille`]) — the same fixed-point discipline as the
 //! on-device policy code, and digest-safe by construction.
 
-use crate::attacker::{AttackMode, ATTACK_CLASS_COUNT, ATTACK_CLASS_NAMES};
+use crate::attacker::{
+    attack_window_ms, ecg_read_span, AttackMode, ATTACK_CLASS_COUNT, ATTACK_CLASS_NAMES,
+};
 use crate::channel::LossModel;
 use crate::fleet::{
     device_seed, ordered_fold, run_fleet_provisioned, DeviceProvision, FleetProvisioner,
     FleetReport, FleetSpec,
 };
-use crate::scenario::{AttackSpec, Scenario};
+use crate::scenario::{secs_to_ms, AttackSpec, Scenario};
 use crate::WiotError;
 use ml::BackendKind;
 use ml::DetectorModel;
 use physio_sim::population::{nearest_neighbor, population};
-use physio_sim::record::Record;
+use physio_sim::record::{EcgSpan, Record};
 use physio_sim::subject::Subject;
+use physio_sim::SAMPLE_RATE_HZ;
 use sift::features::Version;
 use sift::zoo::train_backend;
 
@@ -143,6 +146,17 @@ impl AttackClass {
         ATTACK_CLASS_NAMES[self.index()]
     }
 
+    /// How far back a replay class replays, seconds (`None` for the
+    /// other classes).
+    fn replay_offset_s(&self) -> Option<f64> {
+        match *self {
+            AttackClass::Replay { offset_s } | AttackClass::ReplaySnr { offset_s, .. } => {
+                Some(offset_s)
+            }
+            _ => None,
+        }
+    }
+
     /// Whether the class wants a morphology-fitted donor (the
     /// population's nearest neighbor) rather than an arbitrary one.
     fn wants_fitted_donor(&self) -> bool {
@@ -154,7 +168,8 @@ impl AttackClass {
 
     /// Bind the class template to a concrete session: `victim_live` is
     /// the victim's own live recording (replay source), `donor` the
-    /// foreign recording, `window_ms` the detection-window length.
+    /// foreign recording, `window_ms` the detection-window length. The
+    /// mode gets each record whole (`EcgSpan::from`).
     ///
     /// The legacy four produce byte-identical [`AttackMode`] values to
     /// direct construction, so golden traces are unaffected by routing
@@ -166,7 +181,11 @@ impl AttackClass {
         donor: &Record,
         window_ms: u64,
     ) -> AttackMode {
-        self.materialize_with(|| victim_live.clone(), || donor.clone(), window_ms)
+        self.materialize_with(
+            || victim_live.clone().into(),
+            || donor.clone().into(),
+            window_ms,
+        )
     }
 
     /// [`AttackClass::materialize`] with the recordings supplied on
@@ -174,11 +193,12 @@ impl AttackClass {
     /// consumes that recording. Freeze and NoiseInject call neither,
     /// Replay and ReplaySnr call only `victim_live`, and the five donor
     /// classes call only `donor` — so a caller that synthesizes inside
-    /// the closures renders exactly the records the attack needs.
+    /// the closures renders exactly the records the attack needs, and
+    /// may render only the span of them the attack reads.
     pub fn materialize_with(
         &self,
-        victim_live: impl FnOnce() -> Record,
-        donor: impl FnOnce() -> Record,
+        victim_live: impl FnOnce() -> EcgSpan,
+        donor: impl FnOnce() -> EcgSpan,
         window_ms: u64,
     ) -> AttackMode {
         match *self {
@@ -444,21 +464,12 @@ impl FleetProvisioner for CampaignProvisioner<'_> {
         scenario.victim = victim;
         scenario.seed = device_seed(spec.seed, device);
 
-        // Only the records the class consumes are synthesized. The
-        // victim's live session uses the same seed split the device
-        // itself uses, so a replay source really is the session under
-        // attack; the donor index is drawn only for donor classes.
         let victim_subject = &self.subjects[victim];
-        let (duration_s, seed) = (scenario.duration_s, scenario.seed);
-        let window_ms = (scenario.config.window_s * 1000.0) as u64;
-        let mode = wave.class.materialize_with(
-            || Record::synthesize(victim_subject, duration_s, seed ^ 0x11FE),
-            || {
-                let donor_idx = self.donor_index(&wave.class, victim, seed);
-                Record::synthesize(&self.subjects[donor_idx], duration_s, seed ^ 0xD00D)
-            },
-            window_ms,
-        );
+        let attack_ms = attack_window_ms(wave.start_s, wave.end_s, scenario.duration_s)?;
+        // The donor index is drawn only for donor classes.
+        let mode = cut_attack_mode(&wave.class, attack_ms, &scenario, victim_subject, || {
+            &self.subjects[self.donor_index(&wave.class, victim, scenario.seed)]
+        });
         scenario.attack = Some(AttackSpec {
             mode,
             start_s: wave.start_s,
@@ -484,6 +495,41 @@ impl FleetProvisioner for CampaignProvisioner<'_> {
             deployed: &self.models[pool_slot],
         })
     }
+}
+
+/// The attack a device of `class` runs over `scenario`'s session when
+/// attacked during `attack_ms`. Only the records the class consumes are
+/// synthesized, and only over the ECG span the attacker reads of them
+/// (DESIGN.md §16). The victim's live session uses the same seed split
+/// the device itself uses, so a replay source really is the session
+/// under attack; `donor` runs only for the donor classes.
+fn cut_attack_mode<'s>(
+    class: &AttackClass,
+    attack_ms: (u64, u64),
+    scenario: &Scenario,
+    victim: &Subject,
+    donor: impl FnOnce() -> &'s Subject,
+) -> AttackMode {
+    let (duration_s, seed) = (scenario.duration_s, scenario.seed);
+    // The session's sample count, as `Record::synthesize` renders it.
+    let session_len = (duration_s * SAMPLE_RATE_HZ).round() as usize;
+    let read_span = |replay_offset_s| {
+        ecg_read_span(
+            attack_ms,
+            scenario.chunk_s,
+            SAMPLE_RATE_HZ,
+            session_len,
+            replay_offset_s,
+        )
+    };
+    class.materialize_with(
+        || {
+            let span = read_span(class.replay_offset_s());
+            Record::synthesize_ecg_span(victim, duration_s, seed ^ 0x11FE, span)
+        },
+        || Record::synthesize_ecg_span(donor(), duration_s, seed ^ 0xD00D, read_span(None)),
+        secs_to_ms(scenario.config.window_s),
+    )
 }
 
 /// Enroll one pool victim: synthesize its training record and
@@ -546,6 +592,9 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, WiotError> {
         return Err(WiotError::InvalidScenario {
             reason: "campaign needs at least one non-empty wave",
         });
+    }
+    for w in &plan.waves {
+        attack_window_ms(w.start_s, w.end_s, plan.duration_s)?;
     }
 
     let subjects = population(plan.population_size, plan.population_seed);
@@ -633,6 +682,9 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, WiotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attacker::Attacker;
+    use crate::device::{SensorDevice, SensorPacket};
+    use proptest::prelude::*;
     use std::cell::Cell;
 
     #[test]
@@ -708,6 +760,31 @@ mod tests {
         }
     }
 
+    /// Every ECG packet of `live`'s session, cut into `chunk_s` packets
+    /// and timed as `DeviceSim` times them, after an attacker running
+    /// `mode` over `attack_ms` intercepted it; then the count of packets
+    /// it tampered with. Adaptive attackers get a fixed verdict pattern.
+    fn intercepts(
+        mode: AttackMode,
+        live: &Record,
+        chunk_s: f64,
+        attack_ms: (u64, u64),
+        seed: u64,
+    ) -> (Vec<SensorPacket>, u64) {
+        let mut attacker = Attacker::new(mode, attack_ms.0, attack_ms.1, seed);
+        let mut sensor = SensorDevice::ecg(live, chunk_s);
+        let mut out = Vec::new();
+        let mut now_ms = 0u64;
+        while let Some(packet) = sensor.poll() {
+            out.push(attacker.intercept(now_ms, packet, live.fs));
+            if out.len() % 5 == 0 {
+                attacker.feedback(out.len() % 3 == 0);
+            }
+            now_ms += secs_to_ms(chunk_s);
+        }
+        (out, attacker.hijacked_packets())
+    }
+
     #[test]
     fn materialize_with_renders_only_the_records_a_class_consumes() {
         let (live, donor) = live_and_donor();
@@ -716,11 +793,11 @@ mod tests {
             let mode = class.materialize_with(
                 || {
                     live_calls.set(live_calls.get() + 1);
-                    live.clone()
+                    live.clone().into()
                 },
                 || {
                     donor_calls.set(donor_calls.get() + 1);
-                    donor.clone()
+                    donor.clone().into()
                 },
                 8000,
             );
@@ -735,11 +812,112 @@ mod tests {
             };
             assert_eq!(live_calls.get(), want_live, "{} victim renders", class.name());
             assert_eq!(donor_calls.get(), want_donor, "{} donor renders", class.name());
+            // `materialize` is the whole-record wrapper: its attacker
+            // tampers every packet exactly as this one does.
+            let wrapped = class.materialize(&live, &donor, 8000);
             assert_eq!(
-                mode,
-                class.materialize(&live, &donor, 8000),
+                intercepts(mode, &live, 0.25, (250, 1750), 3),
+                intercepts(wrapped, &live, 0.25, (250, 1750), 3),
                 "{} materialize differs from materialize_with",
                 class.name()
+            );
+        }
+    }
+
+    #[test]
+    fn cut_spans_are_a_fraction_of_the_session() {
+        // The campaign bench's session: 56 s, attacked 16–40 s.
+        let subjects = physio_sim::subject::bank();
+        let scenario = Scenario::new(0, Version::Simplified, 56.0);
+        let attack_ms = attack_window_ms(16.0, 40.0, 56.0).unwrap();
+        for class in all_classes() {
+            let mode = cut_attack_mode(&class, attack_ms, &scenario, &subjects[0], || &subjects[1]);
+            let span = match mode {
+                AttackMode::Freeze | AttackMode::NoiseInject { .. } => continue,
+                AttackMode::Substitute { donor }
+                | AttackMode::Mimicry { donor, .. }
+                | AttackMode::PartialWindow { donor, .. }
+                | AttackMode::Coordinated { donor }
+                | AttackMode::Adaptive { donor } => donor,
+                AttackMode::Replay { source, .. } | AttackMode::ReplaySnr { source, .. } => source,
+            };
+            assert_eq!(span.record_len, 20160, "{}", class.name());
+            // 24 s of reads, shifted back 1 s for the replay classes.
+            let want = match class.replay_offset_s() {
+                Some(_) => (15.0, 39.0),
+                None => (16.0, 40.0),
+            };
+            assert_eq!(
+                (span.start, span.end()),
+                ((want.0 * 360.0) as usize, (want.1 * 360.0) as usize),
+                "{}",
+                class.name()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The provisioner's cut spans cover every sample the attacker
+        /// reads: over random sessions, attack windows, packet lengths,
+        /// replay offsets and blend/coverage shares, every packet of
+        /// every record-consuming class is intercepted exactly as with
+        /// the whole records.
+        #[test]
+        fn cut_spans_cover_every_read(
+            class_pick in 0usize..7,
+            permille in 0u16..=1000,
+            offset_s in 0.0f64..70.0,
+            duration_s in 2.0f64..40.0,
+            window in (0.0f64..1.0, 0.0f64..1.0),
+            edges in (0u8..4, 0u8..4),
+            chunk_pick in 0usize..7,
+            subjects in (0usize..12, 0usize..12),
+            seed in any::<u64>(),
+        ) {
+            let class = [
+                AttackClass::Substitution,
+                AttackClass::Replay { offset_s },
+                AttackClass::Mimicry { blend_permille: permille },
+                AttackClass::ReplaySnr { offset_s, snr_db: 6.0 },
+                AttackClass::PartialWindow { coverage_permille: permille },
+                AttackClass::Coordinated,
+                AttackClass::Adaptive,
+            ][class_pick];
+            let mut scenario = Scenario::new(0, Version::Simplified, duration_s);
+            scenario.chunk_s = [0.125, 0.25, 0.3, 0.37, 0.5, 1.0, 2.0][chunk_pick];
+            scenario.seed = seed;
+            // Each window end lies anywhere, on a packet's timestamp, or
+            // one millisecond after or before one: where an off-by-one
+            // in the span's packet walk would show.
+            let chunk_ms = secs_to_ms(scenario.chunk_s);
+            let at = |frac: f64, edge: u8| {
+                let on_packet = secs_to_ms(frac * duration_s) / chunk_ms * chunk_ms;
+                let ms = match edge {
+                    0 => return frac * duration_s,
+                    1 => on_packet,
+                    2 => on_packet + 1,
+                    _ => on_packet.saturating_sub(1),
+                };
+                (ms as f64 + 0.5) / 1000.0
+            };
+            let (a, b) = window;
+            let (start_s, end_s) = (at(a.min(b), edges.0), at(a.max(b), edges.1));
+            let Ok(attack_ms) = attack_window_ms(start_s, end_s, duration_s) else {
+                continue; // empty in whole milliseconds, or past the session
+            };
+            let bank = physio_sim::subject::bank();
+            let (victim, donor) = (&bank[subjects.0], &bank[subjects.1]);
+            let live = Record::synthesize(victim, duration_s, seed ^ 0x11FE);
+            let whole_donor = Record::synthesize(donor, duration_s, seed ^ 0xD00D);
+            let window_ms = secs_to_ms(scenario.config.window_s);
+            let whole = class.materialize(&live, &whole_donor, window_ms);
+            let cut = cut_attack_mode(&class, attack_ms, &scenario, victim, || donor);
+            let (chunk_s, attacker_seed) = (scenario.chunk_s, seed ^ 0xA77);
+            prop_assert_eq!(
+                intercepts(cut, &live, chunk_s, attack_ms, attacker_seed),
+                intercepts(whole, &live, chunk_s, attack_ms, attacker_seed)
             );
         }
     }
@@ -754,6 +932,18 @@ mod tests {
 
     #[test]
     fn invalid_plans_are_rejected() {
+        // Attack windows rejected before any device is built: NaN and
+        // infinite ends, empty once truncated to whole milliseconds, a
+        // negative start, an end past the session, a reversed window.
+        let bad_windows = [
+            (8.0, f64::NAN),
+            (f64::NAN, 16.0),
+            (8.0, f64::INFINITY),
+            (1.0, 1.0004),
+            (-1.0, 16.0),
+            (8.0, 24.5),
+            (16.0, 8.0),
+        ];
         let base = CampaignPlan {
             population_size: 8,
             population_seed: 1,
@@ -796,7 +986,17 @@ mod tests {
                 waves: Vec::new(),
                 ..base.clone()
             },
-        ] {
+        ]
+        .into_iter()
+        .chain(bad_windows.iter().map(|&(start_s, end_s)| CampaignPlan {
+            waves: vec![AttackWave {
+                class: AttackClass::Replay { offset_s: 4.0 },
+                devices: 1,
+                start_s,
+                end_s,
+            }],
+            ..base.clone()
+        })) {
             assert!(
                 matches!(run_campaign(&bad), Err(WiotError::InvalidScenario { .. })),
                 "plan accepted: {bad:?}"

@@ -42,6 +42,11 @@ pub struct SensorPacket {
     pub peaks: Vec<usize>,
 }
 
+/// Samples per `chunk_s`-second packet at `fs` Hz (at least one).
+pub(crate) fn chunk_len(chunk_s: f64, fs: f64) -> usize {
+    ((chunk_s * fs).round() as usize).max(1)
+}
+
 /// A sensor device streaming a pre-recorded (synthesized) channel in
 /// fixed-duration chunks.
 #[derive(Debug, Clone)]
@@ -79,13 +84,12 @@ impl SensorDevice {
     }
 
     fn new(stream: Stream, samples: Vec<f64>, peaks: Vec<usize>, fs: f64, chunk_s: f64) -> Self {
-        let chunk_len = ((chunk_s * fs).round() as usize).max(1);
         Self {
             stream,
             samples,
             peaks,
             fs,
-            chunk_len,
+            chunk_len: chunk_len(chunk_s, fs),
             next_chunk: 0,
         }
     }

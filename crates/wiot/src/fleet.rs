@@ -961,16 +961,25 @@ where
         }
     };
     let folded = thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(worker);
-        }
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
         // A panicking fold fails index 0, so every waiting claimant
         // skips out.
         let _guard = FailOnUnwind {
             shared: &shared,
             index: 0,
         };
-        (0..n).try_for_each(|next| shared.await_next(next).map(&mut fold))
+        let folded = (0..n).try_for_each(|next| shared.await_next(next).map(&mut fold));
+        // Join the workers here rather than leave it to the scope: the
+        // scope only waits for their closures to return, so the next
+        // fan-out could start before these threads have exited and
+        // handed their malloc arenas back, and then open new arenas —
+        // a timing-dependent jump of a few MiB in peak RSS.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        folded
     });
     folded?;
     let high_water = shared.fold_state().high_water;

@@ -8,7 +8,7 @@
 //! watchdog). Everything is driven from the single scenario seed, so a
 //! faulted run replays byte-identically.
 
-use crate::attacker::{AttackMode, Attacker};
+use crate::attacker::{attack_window_ms, AttackMode, Attacker};
 use crate::basestation::{BaseStation, WindowOutcome};
 use crate::channel::{Channel, ChannelConfig, ChannelStats, Delivery, LossModel};
 use crate::device::{SensorDevice, Stream};
@@ -377,6 +377,12 @@ impl Link {
     }
 }
 
+/// Seconds to the whole milliseconds the device clock runs on
+/// (truncating; negative and NaN inputs give 0).
+pub(crate) fn secs_to_ms(s: f64) -> u64 {
+    (s * 1000.0) as u64
+}
+
 pub(crate) fn add_channel_stats(a: ChannelStats, b: ChannelStats) -> ChannelStats {
     ChannelStats {
         sent: a.sent + b.sent,
@@ -641,13 +647,11 @@ impl DeviceSim {
                 reason: "victim index out of range",
             });
         }
-        if let Some(a) = &scenario.attack {
-            if a.start_s >= a.end_s || a.end_s > scenario.duration_s {
-                return Err(WiotError::InvalidScenario {
-                    reason: "attack interval must be non-empty and inside the session",
-                });
-            }
-        }
+        let attack_window = scenario
+            .attack
+            .as_ref()
+            .map(|a| attack_window_ms(a.start_s, a.end_s, scenario.duration_s))
+            .transpose()?;
         scenario.faults.validate(scenario.duration_s)?;
 
         // Deploy the injected model, or train offline then deploy.
@@ -740,14 +744,13 @@ impl DeviceSim {
         let ecg_dev = SensorDevice::ecg(&live, scenario.chunk_s);
         let abp_dev = SensorDevice::abp(&live, scenario.chunk_s);
 
-        let attacker = scenario.attack.as_ref().map(|spec| {
-            Attacker::new(
-                spec.mode.clone(),
-                (spec.start_s * 1000.0) as u64,
-                (spec.end_s * 1000.0) as u64,
-                scenario.seed ^ 0xA77,
-            )
-        });
+        let attacker = scenario
+            .attack
+            .as_ref()
+            .zip(attack_window)
+            .map(|(spec, (start_ms, end_ms))| {
+                Attacker::new(spec.mode.clone(), start_ms, end_ms, scenario.seed ^ 0xA77)
+            });
 
         let link_config = scenario.link.to_channel_config();
         let links = [
@@ -756,7 +759,7 @@ impl DeviceSim {
         ];
 
         Ok(Self {
-            chunk_ms: (scenario.chunk_s * 1000.0) as u64,
+            chunk_ms: secs_to_ms(scenario.chunk_s),
             scenario: scenario.clone(),
             live_fs: live.fs,
             station,
@@ -1376,7 +1379,7 @@ impl DeviceSim {
         let attack_span = scenario
             .attack
             .as_ref()
-            .map(|a| ((a.start_s * 1000.0) as u64, (a.end_s * 1000.0) as u64));
+            .map(|a| (secs_to_ms(a.start_s), secs_to_ms(a.end_s)));
         let attack_class = scenario.attack.as_ref().map(|a| a.mode.class_index());
         let mut faults = self.fault_summary;
         let mut confusion = ConfusionMatrix::default();
@@ -1509,7 +1512,7 @@ mod tests {
         let donor = Record::synthesize(&bank()[5], 60.0, 4242);
         let mut s = Scenario::new(0, Version::Simplified, 60.0);
         s.attack = Some(AttackSpec {
-            mode: AttackMode::Substitute { donor },
+            mode: AttackMode::Substitute { donor: donor.into() },
             start_s: 21.0,
             end_s: 45.0,
         });
@@ -1698,6 +1701,32 @@ mod tests {
             kind: FaultKind::DeviceReboot,
         });
         assert!(run(&s).is_err(), "fault outside the session");
+    }
+
+    #[test]
+    fn bad_attack_windows_are_rejected_not_panicking() {
+        // NaN and infinite ends, a window empty once truncated to whole
+        // milliseconds, and a negative start are errors, never the
+        // attacker's non-empty-window assertion or a silent clamp to 0.
+        for (start_s, end_s) in [
+            (5.0, f64::NAN),
+            (f64::NAN, 5.0),
+            (5.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 5.0),
+            (1.0, 1.0004),
+            (-1.0, 5.0),
+        ] {
+            let mut s = Scenario::new(0, Version::Original, 10.0);
+            s.attack = Some(AttackSpec {
+                mode: AttackMode::Freeze,
+                start_s,
+                end_s,
+            });
+            assert!(
+                matches!(DeviceSim::new(&s), Err(WiotError::InvalidScenario { .. })),
+                "window {start_s}..{end_s} accepted"
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,10 @@ cargo test -q --test fleet_props
 cargo test -q --test recovery_props
 cargo test -q --test survival_props
 cargo test -q -p wiot --test transport_edges
+# The wiot package's own unit and property tests (attacker, campaign
+# read spans, scenario validation, fleet engine); a root `cargo test`
+# never runs them.
+cargo test -q -p wiot
 cargo test -q --test resample_props
 # The campaign engine enrolls its victim pool on the fleet engine's
 # ordered-parallel core, so its thread-count invariance is part of the
