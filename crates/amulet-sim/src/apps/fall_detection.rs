@@ -69,11 +69,6 @@ impl FallDetectionApp {
         }
     }
 
-    /// Falls detected so far.
-    pub fn falls(&self) -> u64 {
-        self.falls
-    }
-
     /// Accelerometer samples consumed.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -197,7 +192,7 @@ mod tests {
             samples.push((300 + i * 100, 1.02));
         }
         let alerts = drive(&mut app, &samples);
-        assert_eq!(app.falls(), 1);
+        assert_eq!(app.falls, 1);
         assert_eq!(alerts.len(), 1);
         assert!(alerts[0].message.contains("FALL"));
     }
@@ -210,7 +205,7 @@ mod tests {
             .map(|i| (i * 20, 1.0 + 0.4 * ((i as f64) * 0.6).sin().max(0.0)))
             .collect();
         assert!(drive(&mut app, &samples).is_empty());
-        assert_eq!(app.falls(), 0);
+        assert_eq!(app.falls, 0);
     }
 
     #[test]
@@ -238,7 +233,7 @@ mod tests {
             samples.push((t * 20, acc.sample(t * 20).value));
         }
         let alerts = drive(&mut app, &samples);
-        assert_eq!(app.falls(), 1, "alerts: {alerts:?}");
+        assert_eq!(app.falls, 1, "alerts: {alerts:?}");
     }
 
     #[test]

@@ -66,16 +66,13 @@ impl Display {
     }
 
     /// Lines of a given severity.
+    #[cfg(test)]
     pub fn lines_with(&self, severity: Severity) -> impl Iterator<Item = &DisplayLine> + '_ {
         self.lines.iter().filter(move |l| l.severity == severity)
     }
 
-    /// Total writes ever made (including scrolled-off lines).
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
     /// Number of alert lines currently retained.
+    #[cfg(test)]
     pub fn alert_count(&self) -> usize {
         self.lines_with(Severity::Alert).count()
     }
@@ -94,7 +91,7 @@ mod tests {
         assert_eq!(d.lines().len(), 3);
         assert_eq!(d.alert_count(), 1);
         assert_eq!(d.lines_with(Severity::Debug).count(), 1);
-        assert_eq!(d.write_count(), 3);
+        assert_eq!(d.writes, 3);
     }
 
     #[test]
@@ -104,7 +101,7 @@ mod tests {
             d.write(i, "app", Severity::Info, "line");
         }
         assert!(d.lines().len() <= 10_000);
-        assert_eq!(d.write_count(), 10_001);
+        assert_eq!(d.writes, 10_001);
     }
 
     #[test]

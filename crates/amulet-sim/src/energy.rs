@@ -116,19 +116,14 @@ pub struct BatteryState {
 }
 
 impl BatteryState {
-    /// Full battery with `capacity_uah` µAh of charge (min 1 µAh).
-    pub fn with_capacity_uah(capacity_uah: u64) -> Self {
-        Self {
-            capacity_ua_ms: capacity_uah.max(1).saturating_mul(UA_MS_PER_UAH),
-            consumed_ua_ms: 0,
-        }
-    }
-
     /// Full battery sized from `model.battery_mah` (the one f64→u64
-    /// conversion, done once at setup).
+    /// conversion, done once at setup; min 1 µAh).
     pub fn from_model(model: &EnergyModel) -> Self {
         let uah = (model.battery_mah * 1000.0).max(1.0) as u64;
-        Self::with_capacity_uah(uah)
+        Self {
+            capacity_ua_ms: uah.saturating_mul(UA_MS_PER_UAH),
+            consumed_ua_ms: 0,
+        }
     }
 
     /// Same capacity, but starting from `permille`/1000 state of charge.
@@ -153,21 +148,6 @@ impl BatteryState {
         // capacity is at least UA_MS_PER_UAH, so the division is safe and
         // the quotient is at most 1000.
         ((left.saturating_mul(1000)) / self.capacity_ua_ms) as u16
-    }
-
-    /// True once every µA·ms of capacity has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.consumed_ua_ms >= self.capacity_ua_ms
-    }
-
-    /// Total capacity in µA·ms.
-    pub fn capacity_ua_ms(&self) -> u64 {
-        self.capacity_ua_ms
-    }
-
-    /// Charge consumed so far in µA·ms.
-    pub fn consumed_ua_ms(&self) -> u64 {
-        self.consumed_ua_ms
     }
 }
 
@@ -321,19 +301,27 @@ mod tests {
         EnergyModel::default().average_current_ua(1.0, 0.0);
     }
 
+    /// A full battery of `uah` µAh.
+    fn battery(uah: u64) -> BatteryState {
+        BatteryState {
+            capacity_ua_ms: uah * UA_MS_PER_UAH,
+            consumed_ua_ms: 0,
+        }
+    }
+
     #[test]
     fn battery_state_integrates_exactly() {
-        let mut b = BatteryState::with_capacity_uah(1); // 3_600_000 µA·ms
+        let mut b = battery(1); // 3_600_000 µA·ms
         assert_eq!(b.soc_permille(), 1000);
         b.drain(100, 18_000); // 1.8e6 µA·ms = half the capacity
         assert_eq!(b.soc_permille(), 500);
-        assert!(!b.is_exhausted());
+        assert!(b.consumed_ua_ms < b.capacity_ua_ms);
         b.drain(100, 18_000);
         assert_eq!(b.soc_permille(), 0);
-        assert!(b.is_exhausted());
+        assert_eq!(b.consumed_ua_ms, b.capacity_ua_ms);
         // Further drain saturates instead of wrapping.
         b.drain(u64::MAX, u64::MAX);
-        assert_eq!(b.consumed_ua_ms(), b.capacity_ua_ms());
+        assert_eq!(b.consumed_ua_ms, b.capacity_ua_ms);
     }
 
     #[test]
@@ -342,7 +330,7 @@ mod tests {
         let mut b = BatteryState::from_model(&m);
         // 110 mAh at a constant 100 µA lasts 1100 h; drain hour by hour.
         let mut hours = 0u64;
-        while !b.is_exhausted() && hours < 2000 {
+        while b.consumed_ua_ms < b.capacity_ua_ms && hours < 2000 {
             b.drain(100, 3_600_000);
             hours += 1;
         }
@@ -353,9 +341,9 @@ mod tests {
 
     #[test]
     fn battery_state_initial_permille_and_monotonicity() {
-        let b = BatteryState::with_capacity_uah(110_000).with_initial_permille(250);
+        let b = battery(110_000).with_initial_permille(250);
         assert_eq!(b.soc_permille(), 250);
-        let full = BatteryState::with_capacity_uah(110_000).with_initial_permille(1000);
+        let full = battery(110_000).with_initial_permille(1000);
         assert_eq!(full.soc_permille(), 1000);
         let mut prev = full;
         let mut soc = prev.soc_permille();

@@ -48,6 +48,7 @@ pub enum AmuletEvent {
 
 impl AmuletEvent {
     /// Short name for logs and traces.
+    #[cfg(test)]
     pub fn kind_name(&self) -> &'static str {
         match self {
             AmuletEvent::Tick { .. } => "tick",

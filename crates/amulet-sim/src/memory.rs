@@ -4,8 +4,7 @@
 //! 2 KB of SRAM for the stack. AmuletOS additionally restricts arrays:
 //! the paper's Insight #1 reports that large arrays and 2-D arrays are
 //! rejected. [`MemoryModel`] tracks region usage for the firmware
-//! toolchain's static checks; [`Arena`] provides a peak-tracking
-//! allocator apps use to model their runtime buffers.
+//! toolchain's static checks.
 
 use crate::{AmuletError, FRAM_BYTES, SRAM_BYTES};
 
@@ -14,13 +13,12 @@ use crate::{AmuletError, FRAM_BYTES, SRAM_BYTES};
 /// the limit here gives exactly that much headroom.
 pub const MAX_ARRAY_ELEMS: usize = 1100;
 
-/// One memory region with a fixed capacity and a usage high-water mark.
+/// One memory region with a fixed capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Region {
     name: &'static str,
     capacity: usize,
     used: usize,
-    peak: usize,
 }
 
 impl Region {
@@ -30,7 +28,6 @@ impl Region {
             name,
             capacity,
             used: 0,
-            peak: 0,
         }
     }
 
@@ -49,23 +46,12 @@ impl Region {
             });
         }
         self.used += bytes;
-        self.peak = self.peak.max(self.used);
         Ok(())
-    }
-
-    /// Release `bytes` (saturating at zero).
-    pub fn release(&mut self, bytes: usize) {
-        self.used = self.used.saturating_sub(bytes);
     }
 
     /// Bytes currently reserved.
     pub fn used(&self) -> usize {
         self.used
-    }
-
-    /// High-water mark since creation.
-    pub fn peak(&self) -> usize {
-        self.peak
     }
 
     /// Total capacity in bytes.
@@ -140,79 +126,18 @@ impl MemoryModel {
     }
 }
 
-/// A bump arena with peak tracking, modelling an app's scratch memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Arena {
-    capacity: usize,
-    used: usize,
-    peak: usize,
-}
-
-impl Arena {
-    /// Create an arena of `capacity` bytes.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            used: 0,
-            peak: 0,
-        }
-    }
-
-    /// Allocate `bytes`, returning the offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AmuletError::OutOfMemory`] when full.
-    pub fn alloc(&mut self, bytes: usize) -> Result<usize, AmuletError> {
-        if self.used + bytes > self.capacity {
-            return Err(AmuletError::OutOfMemory {
-                region: "arena",
-                requested: bytes,
-                available: self.capacity - self.used,
-            });
-        }
-        let offset = self.used;
-        self.used += bytes;
-        self.peak = self.peak.max(self.used);
-        Ok(offset)
-    }
-
-    /// Reset the arena (end of a run-to-completion step); the peak
-    /// persists.
-    pub fn reset(&mut self) {
-        self.used = 0;
-    }
-
-    /// Current bytes in use.
-    pub fn used(&self) -> usize {
-        self.used
-    }
-
-    /// High-water mark since creation.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn region_reserve_release_and_peak() {
+    fn region_reserve_tracks_use() {
         let mut r = Region::new("fram", 100);
         r.reserve(60).unwrap();
-        r.release(20);
-        assert_eq!(r.used(), 40);
-        assert_eq!(r.peak(), 60);
-        assert_eq!(r.available(), 60);
-        r.reserve(60).unwrap();
-        assert_eq!(r.peak(), 100);
+        assert_eq!(r.used(), 60);
+        assert_eq!(r.available(), 40);
+        r.reserve(40).unwrap();
+        assert_eq!(r.available(), 0);
     }
 
     #[test]
@@ -229,14 +154,6 @@ mod tests {
             }
         );
         assert_eq!(r.used(), 8);
-    }
-
-    #[test]
-    fn release_saturates() {
-        let mut r = Region::new("fram", 10);
-        r.reserve(4).unwrap();
-        r.release(100);
-        assert_eq!(r.used(), 0);
     }
 
     #[test]
@@ -261,26 +178,5 @@ mod tests {
         let mut m = MemoryModel::default();
         let err = m.alloc_array(MAX_ARRAY_ELEMS + 1, 4).unwrap_err();
         assert!(matches!(err, AmuletError::ArrayTooLarge { .. }));
-    }
-
-    #[test]
-    fn arena_alloc_reset_peak() {
-        let mut a = Arena::new(64);
-        assert_eq!(a.alloc(16).unwrap(), 0);
-        assert_eq!(a.alloc(16).unwrap(), 16);
-        assert_eq!(a.peak(), 32);
-        a.reset();
-        assert_eq!(a.used(), 0);
-        assert_eq!(a.peak(), 32, "peak survives reset");
-        a.alloc(64).unwrap();
-        assert_eq!(a.peak(), 64);
-    }
-
-    #[test]
-    fn arena_overflow() {
-        let mut a = Arena::new(8);
-        a.alloc(8).unwrap();
-        assert!(a.alloc(1).is_err());
-        assert_eq!(a.capacity(), 8);
     }
 }

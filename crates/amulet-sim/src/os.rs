@@ -350,25 +350,6 @@ impl AmuletOs {
     pub fn reserve_checkpoint_region(&mut self, bytes: usize) -> Result<(), AmuletError> {
         self.memory.fram_mut().reserve(bytes)
     }
-
-    /// Remove an installed app from the registry. Note that this does
-    /// *not* reclaim flash — apps are baked into the firmware image on
-    /// the real device; use [`AmuletOs::reflash`] to actually change the
-    /// deployed set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AmuletError::UnknownApp`] if no app has that name.
-    pub fn uninstall(&mut self, name: &str) -> Result<Box<dyn App>, AmuletError> {
-        let idx = self
-            .apps
-            .iter()
-            .position(|a| a.name() == name)
-            .ok_or_else(|| AmuletError::UnknownApp {
-                name: name.to_string(),
-            })?;
-        Ok(self.apps.remove(idx))
-    }
 }
 
 impl Default for AmuletOs {
@@ -490,15 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn uninstall_removes_app() {
-        let mut os = os_with_echo();
-        let app = os.uninstall("echo").unwrap();
-        assert_eq!(app.name(), "echo");
-        assert!(os.app_names().is_empty());
-        assert!(os.uninstall("echo").is_err());
-    }
-
-    #[test]
     fn replace_app_swaps_instance_without_touching_meters() {
         let mut os = os_with_echo();
         os.post(AmuletEvent::ButtonPress);
@@ -520,9 +492,8 @@ mod tests {
             os.replace_app("other", Box::new(EchoApp)),
             Err(AmuletError::StaticCheckFailed { .. })
         ));
-        os.uninstall("echo").unwrap();
         assert!(matches!(
-            os.replace_app("echo", Box::new(EchoApp)),
+            AmuletOs::new().replace_app("echo", Box::new(EchoApp)),
             Err(AmuletError::UnknownApp { .. })
         ));
     }

@@ -25,19 +25,6 @@ pub enum SensorKind {
     Microphone,
 }
 
-impl SensorKind {
-    /// Typical active current draw of the sensor, µA (datasheet class).
-    pub fn active_current_ua(self) -> f64 {
-        match self {
-            SensorKind::Accelerometer => 1.8,
-            SensorKind::Gyroscope => 5_000.0,
-            SensorKind::Temperature => 4.0,
-            SensorKind::Light => 18.0,
-            SensorKind::Microphone => 180.0,
-        }
-    }
-}
-
 impl std::fmt::Display for SensorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
@@ -128,41 +115,6 @@ impl Accelerometer {
     }
 }
 
-/// Slow environmental sensors bundled into one deterministic source.
-#[derive(Debug, Clone)]
-pub struct EnvironmentSensors {
-    rng: StdRng,
-}
-
-impl EnvironmentSensors {
-    /// New environment-sensor bundle.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Skin-adjacent temperature, °C.
-    pub fn temperature(&mut self, at_ms: u64) -> SensorReading {
-        SensorReading {
-            sensor: SensorKind::Temperature,
-            value: 32.5 + self.rng.gen_range(-0.3..0.3),
-            at_ms,
-        }
-    }
-
-    /// Ambient light, lux (day/night cycle over 24 h).
-    pub fn light(&mut self, at_ms: u64) -> SensorReading {
-        let hour = (at_ms as f64 / 3_600_000.0) % 24.0;
-        let daylight = ((hour - 6.0) / 12.0 * std::f64::consts::PI).sin().max(0.0);
-        SensorReading {
-            sensor: SensorKind::Light,
-            value: 5.0 + 800.0 * daylight + self.rng.gen_range(0.0..20.0),
-            at_ms,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,18 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn environment_sensors_plausible() {
-        let mut env = EnvironmentSensors::new(4);
-        let t = env.temperature(0);
-        assert!((30.0..35.0).contains(&t.value));
-        let midnight = env.light(0).value;
-        let noon = env.light(12 * 3_600_000).value;
-        assert!(noon > midnight + 100.0, "noon {noon} midnight {midnight}");
-    }
-
-    #[test]
     fn sensor_metadata() {
         assert_eq!(SensorKind::Gyroscope.to_string(), "gyroscope");
-        assert!(SensorKind::Gyroscope.active_current_ua() > SensorKind::Accelerometer.active_current_ua());
     }
 }

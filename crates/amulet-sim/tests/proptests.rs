@@ -3,38 +3,21 @@
 
 use amulet_sim::energy::{EnergyMeter, EnergyModel};
 use amulet_sim::event::{AmuletEvent, EventQueue};
-use amulet_sim::memory::{Arena, MemoryModel, Region, MAX_ARRAY_ELEMS};
+use amulet_sim::memory::{MemoryModel, Region, MAX_ARRAY_ELEMS};
 use proptest::prelude::*;
 
 proptest! {
     #[test]
-    fn region_never_exceeds_capacity(ops in prop::collection::vec((any::<bool>(), 0usize..4096), 1..200)) {
+    fn region_never_exceeds_capacity(ops in prop::collection::vec(0usize..4096, 1..200)) {
         let mut r = Region::new("fram", 8192);
-        for (is_alloc, bytes) in ops {
-            if is_alloc {
-                let _ = r.reserve(bytes);
-            } else {
-                r.release(bytes);
+        for bytes in ops {
+            let before = r.used();
+            match r.reserve(bytes) {
+                Ok(()) => prop_assert_eq!(r.used(), before + bytes),
+                Err(_) => prop_assert_eq!(r.used(), before),
             }
             prop_assert!(r.used() <= r.capacity());
-            prop_assert!(r.peak() <= r.capacity());
-            prop_assert!(r.used() <= r.peak() || r.peak() == 0);
             prop_assert_eq!(r.available(), r.capacity() - r.used());
-        }
-    }
-
-    #[test]
-    fn arena_peak_is_monotone(allocs in prop::collection::vec(0usize..512, 1..100), resets in prop::collection::vec(any::<bool>(), 1..100)) {
-        let mut a = Arena::new(4096);
-        let mut last_peak = 0;
-        for (bytes, reset) in allocs.iter().zip(&resets) {
-            let _ = a.alloc(*bytes);
-            if *reset {
-                a.reset();
-            }
-            prop_assert!(a.peak() >= last_peak, "peak decreased");
-            prop_assert!(a.used() <= a.peak());
-            last_peak = a.peak();
         }
     }
 

@@ -308,6 +308,7 @@ pub fn footprint_json(
     config: &SiftConfig,
     footprints: &[FlavorFootprint],
     stack: &StackReport,
+    dead_pub: &[String],
 ) -> String {
     let mut rows = String::new();
     for (i, fp) in footprints.iter().enumerate() {
@@ -422,6 +423,16 @@ pub fn footprint_json(
             chain.join(", "),
         ));
     }
+    // The reachability report: `pub fn`s nothing runs, one per line.
+    let dead_rows = if dead_pub.is_empty() {
+        "[]".to_string()
+    } else {
+        let lines: Vec<String> = dead_pub
+            .iter()
+            .map(|d| format!("    \"{}\"", json_escape(d)))
+            .collect();
+        format!("[\n{}\n  ]", lines.join(",\n"))
+    };
     format!(
         concat!(
             "{{\n",
@@ -442,7 +453,8 @@ pub fn footprint_json(
             "\"register_args\": {} }},\n",
             "    \"worst_static_sram_bytes\": {},\n",
             "    \"entries\": [\n{}\n    ]\n",
-            "  }}\n",
+            "  }},\n",
+            "  \"dead_pub\": {}\n",
             "}}\n"
         ),
         config.window_s,
@@ -463,7 +475,8 @@ pub fn footprint_json(
         FRAME_OVERHEAD_BYTES,
         REGISTER_ARGS,
         worst_statics,
-        stack_rows
+        stack_rows,
+        dead_rows
     )
 }
 
@@ -558,6 +571,7 @@ mod tests {
             &config,
             &compute_footprints(&config),
             &fake_stack("SurvivalPolicy::step", 64),
+            &["crates/x/src/y.rs: Y::z".to_string()],
         );
         assert_eq!(doc.matches("\"version\"").count(), 3);
         assert_eq!(doc.matches("\"flavor\"").count(), 6);
@@ -571,6 +585,7 @@ mod tests {
         assert!(doc.contains("\"entry\": \"SurvivalPolicy::step\""));
         assert!(doc.contains("\"stack_bytes\": 64"));
         assert!(doc.contains("\"frame_overhead_bytes\": 4"));
+        assert!(doc.contains("\"dead_pub\": [\n    \"crates/x/src/y.rs: Y::z\"\n  ]"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The interprocedural pass: extract function definitions and call
 //! sites from the token streams, resolve them into a workspace call
-//! graph, and run three whole-program analyses over it:
+//! graph, and run four whole-program analyses over it:
 //!
 //! 1. **worst-case stack depth** — a per-function frame estimate from
 //!    the MSP430 calling convention (see [`frame_bytes`]), propagated
@@ -13,7 +13,10 @@
 //!    error-severity rules (`cg-recursion`, `cg-dynamic-dispatch`);
 //! 3. **panic reachability** — an embedded entry point transitively
 //!    reaching an unjustified panic site in host-side code is flagged
-//!    with the full call chain (`cg-panic-reachable`).
+//!    with the full call chain (`cg-panic-reachable`);
+//! 4. **reachability** — the `pub fn`s no root reaches ([`dead_pub`]),
+//!    by name over the same fn defs and token streams, reported in the
+//!    footprint's `dead_pub` section rather than as findings.
 //!
 //! ## Soundness assumptions (documented, deliberate)
 //!
@@ -33,6 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::TokenKind;
 use crate::rules::{certifies_panic_site, Finding};
+use crate::source::SourceFile;
 use crate::ParsedFile;
 
 /// MSP430 word size: 16-bit registers, 2-byte stack slots.
@@ -141,6 +145,11 @@ struct FnDef {
     lets: usize,
     has_body: bool,
     in_test: bool,
+    /// Declared plain `pub` (not `pub(crate)` or another restriction).
+    is_pub: bool,
+    /// Declared in a `trait` block or an `impl Trait for` block: called
+    /// implicitly, so a root of the reachability report.
+    trait_item: bool,
 }
 
 impl FnDef {
@@ -221,6 +230,8 @@ pub struct CallGraphResult {
     pub findings: Vec<Finding>,
     /// Worst-case stack certificates.
     pub stack: StackReport,
+    /// `pub fn`s no root reaches, as sorted `file: Owner::name` lines.
+    pub dead_pub: Vec<String>,
 }
 
 /// Extracted view of the whole workspace.
@@ -231,11 +242,22 @@ struct Graph {
     calls: Vec<Vec<CallSite>>,
     panics: Vec<PanicSite>,
     dyns: Vec<DynSite>,
+    /// Per fn: every identifier its non-test body names (see
+    /// [`names_a_fn`]), for the reachability report.
+    uses: Vec<Vec<String>>,
+    /// Per file: names used by non-test code outside any fn body
+    /// (`const` initializers, `macro_rules!` bodies).
+    item_uses: Vec<Vec<String>>,
+    /// Per file: names used by its `#[cfg(test)]` code.
+    test_uses: Vec<Vec<String>>,
 }
 
-/// Run the interprocedural pass over the parsed workspace.
-pub fn analyze(files: &[ParsedFile]) -> CallGraphResult {
+/// Run the interprocedural pass over the parsed workspace; `roots` are
+/// the files outside `crates/*/src` whose names keep library code alive
+/// (see [`dead_pub`]).
+pub fn analyze(files: &[ParsedFile], roots: &[SourceFile]) -> CallGraphResult {
     let graph = extract(files);
+    let dead_pub = dead_pub(&graph, roots);
     let edges = resolve_edges(&graph);
     let sccs = tarjan(graph.fns.len(), &edges);
     let mut findings = Vec::new();
@@ -243,7 +265,11 @@ pub fn analyze(files: &[ParsedFile]) -> CallGraphResult {
     findings.extend(recursion_findings(files, &graph, &edges, &sccs));
     let (stack, entry_of) = stack_report(files, &graph, &edges, &sccs);
     findings.extend(panic_findings(files, &graph, &edges, &entry_of));
-    CallGraphResult { findings, stack }
+    CallGraphResult {
+        findings,
+        stack,
+        dead_pub,
+    }
 }
 
 /// Frame size estimate for one function under the msp430-gcc calling
@@ -262,6 +288,8 @@ fn frame_bytes(def: &FnDef) -> usize {
 struct OwnerCtx {
     name: String,
     trait_impl: Option<String>,
+    /// A `trait` declaration block (not an impl).
+    is_trait: bool,
     open_depth: i32,
 }
 
@@ -279,6 +307,9 @@ fn extract(files: &[ParsedFile]) -> Graph {
         calls: Vec::new(),
         panics: Vec::new(),
         dyns: Vec::new(),
+        uses: Vec::new(),
+        item_uses: vec![Vec::new(); files.len()],
+        test_uses: vec![Vec::new(); files.len()],
     };
     for (file_idx, pf) in files.iter().enumerate() {
         extract_file(file_idx, pf, &mut graph);
@@ -318,6 +349,7 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                     owners.push(OwnerCtx {
                         name: owner,
                         trait_impl,
+                        is_trait: false,
                         open_depth: depth,
                     });
                     p = brace + 1;
@@ -337,6 +369,7 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                     owners.push(OwnerCtx {
                         name,
                         trait_impl: None,
+                        is_trait: true,
                         open_depth: depth,
                     });
                     p = q + 1;
@@ -399,8 +432,11 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                     lets: 0,
                     has_body: header.body_open.is_some(),
                     in_test: pf.file.in_test(line),
+                    is_pub: declared_pub(&sig, p),
+                    trait_item: owner.is_some_and(|o| o.is_trait || o.trait_impl.is_some()),
                 });
                 graph.calls.push(Vec::new());
+                graph.uses.push(Vec::new());
                 if let Some(open) = header.body_open {
                     depth += 1;
                     open_fns.push((graph.fns.len() - 1, depth));
@@ -419,6 +455,13 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                 }
                 p += 1;
             }
+            TokenKind::Ident(w) if w == "use" => {
+                // A `use` declaration names paths, it calls nothing.
+                while p < sig.len() && !is_punct(p, ';') {
+                    p += 1;
+                }
+                p += 1;
+            }
             TokenKind::Ident(w) if w == "let" => {
                 if let Some(&(f, _)) = open_fns.last() {
                     if let Some(def) = graph.fns.get_mut(f) {
@@ -430,6 +473,18 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
             TokenKind::Ident(name) => {
                 let cur_fn = open_fns.last().map(|&(f, _)| f);
                 let in_test = pf.file.in_test(line);
+                if names_a_fn(&sig, p) {
+                    let uses = if in_test {
+                        graph.test_uses.get_mut(file_idx)
+                    } else if let Some(f) = cur_fn {
+                        graph.uses.get_mut(f)
+                    } else {
+                        graph.item_uses.get_mut(file_idx)
+                    };
+                    if let Some(uses) = uses {
+                        uses.push(name.clone());
+                    }
+                }
                 let prev_dot = p > 0 && is_punct(p - 1, '.');
                 if let Some(f) = cur_fn {
                     if !in_test {
@@ -493,6 +548,41 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
             _ => p += 1,
         }
     }
+}
+
+/// Whether the `fn` token at `p` is declared plain `pub`: qualifiers
+/// (`const`, `async`, `unsafe`, `extern "C"`) are skipped, and a
+/// restricted `pub(…)` ends in `)`, so it reads as not public.
+fn declared_pub(sig: &[&crate::lexer::Token], p: usize) -> bool {
+    let mut q = p;
+    while q > 0 {
+        q -= 1;
+        match &sig[q].kind {
+            TokenKind::Ident(w)
+                if matches!(w.as_str(), "const" | "async" | "unsafe" | "extern") => {}
+            TokenKind::Str => {}
+            TokenKind::Ident(w) => return w == "pub",
+            _ => return false,
+        }
+    }
+    false
+}
+
+/// Whether the identifier at `p` may name a fn — called, passed as a
+/// value (`.map(f)`, `Self::f`) or used inside a macro invocation. Only
+/// two shapes are ruled out, both provably not fns: a field access
+/// (`.name` with no call or turbofish after it) and a declaration
+/// (`name:` of a field, parameter or binding, or `mod name`).
+fn names_a_fn(sig: &[&crate::lexer::Token], p: usize) -> bool {
+    let is_punct = |k: usize, c: char| matches!(sig.get(k).map(|t| &t.kind), Some(TokenKind::Punct(x)) if *x == c);
+    let path_follows = is_punct(p + 1, ':') && is_punct(p + 2, ':');
+    if p > 0 && is_punct(p - 1, '.') && !is_punct(p + 1, '(') && !path_follows {
+        return false;
+    }
+    if is_punct(p + 1, ':') && !path_follows {
+        return false;
+    }
+    !(p > 0 && matches!(&sig[p - 1].kind, TokenKind::Ident(w) if w == "mod"))
 }
 
 /// Is the `impl` at `p` an item (block) rather than an `impl Trait`
@@ -1171,6 +1261,122 @@ fn panic_findings(
     }
     out.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     out
+}
+
+// ---------------------------------------------------------------------
+// Reachability: the `pub fn`s no root can reach.
+// ---------------------------------------------------------------------
+
+/// The crate whose items a root file's names do *not* keep alive: a
+/// crate's own `crates/<name>/tests/` only test it.
+fn own_crate_of_root(path: &str) -> Option<&str> {
+    let name = crate_of(path);
+    path.starts_with(&format!("crates/{name}/tests/"))
+        .then_some(name)
+}
+
+/// Whether `path` is a binary target: every fn in it is a root.
+fn is_bin(path: &str) -> bool {
+    path.contains("/src/bin/") || path.ends_with("/main.rs")
+}
+
+/// Every `pub fn` that no root reaches, as sorted `file: Owner::name`
+/// lines.
+///
+/// Reachability is by name and deliberately coarse, so it can only
+/// over-approximate: any identifier a reached body names reaches every
+/// fn of that name, whatever its owner, receiver or crate (see
+/// [`names_a_fn`]). The roots are the bins, the names used by the
+/// `roots` files (integration tests, examples, benches, the root
+/// package, the benchmark package), the non-test item-level code of
+/// every file, the embedded [`ENTRY_POINTS`] and every trait method. A
+/// crate's own `#[cfg(test)]` code and its own `crates/<name>/tests/`
+/// keep only *other* crates' fns alive.
+fn dead_pub(graph: &Graph, roots: &[SourceFile]) -> Vec<String> {
+    let crate_of_fn = |i: usize| crate_of(&graph.paths[graph.fns[i].file]);
+    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for (i, def) in graph.fns.iter().enumerate() {
+        if !def.in_test {
+            by_name.entry(&def.name).or_default().push(i);
+        }
+    }
+    let mut reached = vec![false; graph.fns.len()];
+    let mut work: Vec<usize> = Vec::new();
+    let reach = |i: usize, reached: &mut [bool], work: &mut Vec<usize>| {
+        if !reached[i] {
+            reached[i] = true;
+            work.push(i);
+        }
+    };
+    let reach_name =
+        |name: &str, except: Option<&str>, reached: &mut [bool], work: &mut Vec<usize>| {
+            for &i in by_name.get(name).into_iter().flatten() {
+                if except != Some(crate_of_fn(i)) {
+                    reach(i, reached, work);
+                }
+            }
+        };
+
+    for file in roots {
+        let except = own_crate_of_root(&file.rel_path);
+        for name in root_names(file) {
+            reach_name(&name, except, &mut reached, &mut work);
+        }
+    }
+    for (f, path) in graph.paths.iter().enumerate() {
+        for name in &graph.item_uses[f] {
+            reach_name(name, None, &mut reached, &mut work);
+        }
+        for name in &graph.test_uses[f] {
+            reach_name(name, Some(crate_of(path)), &mut reached, &mut work);
+        }
+    }
+    for (i, def) in graph.fns.iter().enumerate() {
+        let entry = ENTRY_POINTS.iter().any(|ep| {
+            ep.name == def.name
+                && def.owner.as_deref() == Some(ep.owner)
+                && graph.paths[def.file] == ep.file
+        });
+        if !def.in_test && (entry || def.trait_item || is_bin(&graph.paths[def.file])) {
+            reach(i, &mut reached, &mut work);
+        }
+    }
+    while let Some(i) = work.pop() {
+        for name in &graph.uses[i] {
+            reach_name(name, None, &mut reached, &mut work);
+        }
+    }
+
+    let mut dead: Vec<String> = graph
+        .fns
+        .iter()
+        .zip(&reached)
+        .filter(|(def, &r)| def.is_pub && !def.in_test && !r)
+        .map(|(def, _)| format!("{}: {}", graph.paths[def.file], def.display()))
+        .collect();
+    dead.sort();
+    dead.dedup();
+    dead
+}
+
+/// Every name a root file uses, read the same way as library bodies.
+fn root_names(file: &SourceFile) -> Vec<String> {
+    let sig: Vec<&crate::lexer::Token> = file.tokens.iter().filter(|t| !t.is_trivia()).collect();
+    let mut names = Vec::new();
+    let mut p = 0usize;
+    while p < sig.len() {
+        match &sig[p].kind {
+            TokenKind::Ident(w) if w == "use" => {
+                while p < sig.len() && !matches!(sig[p].kind, TokenKind::Punct(';')) {
+                    p += 1;
+                }
+            }
+            TokenKind::Ident(w) if names_a_fn(&sig, p) => names.push(w.clone()),
+            _ => {}
+        }
+        p += 1;
+    }
+    names
 }
 
 #[cfg(test)]

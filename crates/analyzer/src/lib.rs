@@ -70,6 +70,8 @@ pub struct Analysis {
     pub footprints: Vec<budget::FlavorFootprint>,
     /// Worst-case stack certificates from the call-graph pass.
     pub stack: callgraph::StackReport,
+    /// `pub fn`s no root reaches (the footprint's `dead_pub` section).
+    pub dead_pub: Vec<String>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Number of findings removed by honored suppressions.
@@ -127,26 +129,62 @@ pub fn find_workspace_root() -> Result<PathBuf, String> {
 ///
 /// Returns a description on any unreadable directory or file.
 pub fn collect_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
+    read_trees(root, &crate_dirs(root, "src")?)
+}
+
+/// Directories whose names keep library code alive for the
+/// reachability report: the root package, integration tests, examples,
+/// benches and the benchmark package.
+const ROOT_DIRS: &[&str] = &[
+    "src",
+    "tests",
+    "examples",
+    "perfbench/src",
+    "perfbench/tests",
+];
+
+/// Collect the reachability report's root files outside
+/// `crates/*/src`: [`ROOT_DIRS`] plus every `crates/*/tests` and
+/// `crates/*/benches`. Missing directories are skipped.
+///
+/// # Errors
+///
+/// Returns a description on any unreadable directory or file.
+pub fn collect_root_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
+    let mut dirs: Vec<PathBuf> = ROOT_DIRS.iter().map(|d| root.join(d)).collect();
+    dirs.extend(crate_dirs(root, "tests")?);
+    dirs.extend(crate_dirs(root, "benches")?);
+    dirs.retain(|d| d.is_dir());
+    read_trees(root, &dirs)
+}
+
+/// `crates/*/<sub>` for every crate that has it.
+fn crate_dirs(root: &Path, sub: &str) -> Result<Vec<PathBuf>, String> {
     let crates_dir = root.join("crates");
-    let mut out = Vec::new();
     let entries = std::fs::read_dir(&crates_dir)
         .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
-    let mut crate_dirs: Vec<PathBuf> = Vec::new();
+    let mut dirs = Vec::new();
     for entry in entries {
         let entry = entry.map_err(|e| format!("readdir: {e}"))?;
-        let src = entry.path().join("src");
-        if src.is_dir() {
-            crate_dirs.push(src);
+        let dir = entry.path().join(sub);
+        if dir.is_dir() {
+            dirs.push(dir);
         }
     }
-    for src in crate_dirs {
-        walk_rs(&src, &mut out)?;
+    Ok(dirs)
+}
+
+/// Every `.rs` file under `dirs`, as sorted (workspace-relative path,
+/// contents) pairs.
+fn read_trees(root: &Path, dirs: &[PathBuf]) -> Result<Vec<(String, String)>, String> {
+    let mut out = Vec::new();
+    for dir in dirs {
+        walk_rs(dir, &mut out)?;
     }
-    let rootstr = root.to_path_buf();
     let mut pairs = Vec::with_capacity(out.len());
     for path in out {
         let rel = path
-            .strip_prefix(&rootstr)
+            .strip_prefix(root)
             .map_err(|_| format!("path {} escapes root", path.display()))?
             .to_string_lossy()
             .replace('\\', "/");
@@ -237,7 +275,11 @@ pub fn analyze_source(rel_path: &str, text: &str) -> (Vec<Finding>, usize) {
 pub fn analyze(root: &Path, opts: &Options) -> Result<Analysis, String> {
     let files = parse_workspace(root)?;
     let files_scanned = files.len();
-    let cg = callgraph::analyze(&files);
+    let roots: Vec<SourceFile> = collect_root_sources(root)?
+        .iter()
+        .map(|(rel, text)| SourceFile::parse(rel, text))
+        .collect();
+    let cg = callgraph::analyze(&files, &roots);
 
     // Group raw findings per file so one suppression pass covers both
     // the lexical and the interprocedural rules.
@@ -278,6 +320,7 @@ pub fn analyze(root: &Path, opts: &Options) -> Result<Analysis, String> {
         findings,
         footprints,
         stack: cg.stack,
+        dead_pub: cg.dead_pub,
         files_scanned,
         suppressions_honored: honored,
     })
@@ -351,6 +394,15 @@ mod tests {
         for e in &analysis.stack.entries {
             assert!(e.stack_bytes > 0, "{} has no stack bound", e.label);
             assert!(!e.chain.is_empty(), "{} has no chain", e.label);
+        }
+        // Every `pub fn` nothing runs has its reason in DESIGN.md §7.2.
+        let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+        for entry in &analysis.dead_pub {
+            let name = entry.rsplit(": ").next().unwrap_or(entry);
+            assert!(
+                design.contains(&format!("{name}`")),
+                "{entry} is unreached and DESIGN.md gives no reason"
+            );
         }
     }
 }

@@ -102,7 +102,12 @@ fn run() -> Result<ExitCode, String> {
     }
     if opts.run_budget {
         let config = sift::config::SiftConfig::default();
-        let doc = analyzer::budget::footprint_json(&config, &analysis.footprints, &analysis.stack);
+        let doc = analyzer::budget::footprint_json(
+            &config,
+            &analysis.footprints,
+            &analysis.stack,
+            &analysis.dead_pub,
+        );
         let results = root.join("results");
         std::fs::create_dir_all(&results)
             .map_err(|e| format!("cannot create {}: {e}", results.display()))?;

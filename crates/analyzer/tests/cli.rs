@@ -187,3 +187,109 @@ fn json_report_schema_is_stable() {
     assert!(doc.contains("\"error\": 0"));
     assert!(doc.contains("\"warn\": 0"));
 }
+
+// ---------------------------------------------------------------------
+// Reachability report: the footprint's `dead_pub` section for
+// mini-workspaces.
+// ---------------------------------------------------------------------
+
+/// Run the full analyzer (budget pass included, which writes the
+/// footprint) over a mini-workspace and return its `dead_pub` list.
+fn dead_pub(name: &str, files: &[(&str, &str)]) -> Vec<String> {
+    let root = mini_root_files(name, files);
+    run_analyzer_args(&root, &[]);
+    let doc = fs::read_to_string(root.join("results/ANALYZER_footprint.json"))
+        .expect("footprint written");
+    let section = &doc[doc.find("\"dead_pub\"").expect("dead_pub section")..];
+    let (open, close) = (
+        section.find('[').expect("list"),
+        section.find(']').expect("list end"),
+    );
+    section[open + 1..close]
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn dead_pub_lists_every_fn_of_a_dead_chain() {
+    let lib = "pub fn a() -> u32 {\n    b()\n}\npub fn b() -> u32 {\n    1\n}\n";
+    assert_eq!(
+        dead_pub("cli-dead-chain", &[("crates/demo/src/lib.rs", lib)]),
+        ["crates/demo/src/lib.rs: a", "crates/demo/src/lib.rs: b"]
+    );
+}
+
+#[test]
+fn dead_pub_counts_values_macro_arguments_and_method_calls_as_uses() {
+    let lib = "pub struct Bag;\n\
+               impl Bag {\n    pub fn len(&self) -> usize {\n        0\n    }\n}\n\
+               pub fn run() -> String {\n    \
+                   let xs: Vec<u32> = [1, 2].iter().copied().map(double).collect();\n    \
+                   format!(\"{} {}\", label(xs[0]), Bag.len())\n}\n\
+               pub fn double(x: u32) -> u32 {\n    x * 2\n}\n\
+               pub fn label(x: u32) -> u32 {\n    x + 1\n}\n";
+    let example = "fn main() {\n    println!(\"{}\", demo::run());\n}\n";
+    let dead = dead_pub(
+        "cli-dead-uses",
+        &[
+            ("crates/demo/src/lib.rs", lib),
+            ("examples/run.rs", example),
+        ],
+    );
+    assert!(dead.is_empty(), "{dead:?}");
+}
+
+#[test]
+fn dead_pub_roots_trait_methods_and_never_lists_them() {
+    let lib = "pub trait Shape {\n    fn area(&self) -> u32;\n    fn twice(&self) -> u32 {\n        doubled(self.area())\n    }\n}\n\
+               pub struct Square;\n\
+               impl Shape for Square {\n    fn area(&self) -> u32 {\n        side()\n    }\n}\n\
+               pub fn side() -> u32 {\n    3\n}\n\
+               pub fn doubled(x: u32) -> u32 {\n    x * 2\n}\n";
+    let dead = dead_pub("cli-dead-traits", &[("crates/demo/src/lib.rs", lib)]);
+    assert!(dead.is_empty(), "{dead:?}");
+}
+
+#[test]
+fn dead_pub_ignores_a_crates_own_tests_but_not_other_crates_tests() {
+    let lib = "pub fn own_tested() -> u32 {\n    1\n}\n\
+               pub fn other_tested() -> u32 {\n    2\n}\n\
+               #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        assert_eq!(super::own_tested(), 1);\n    }\n}\n";
+    let own_itest = "#[test]\nfn t() {\n    assert_eq!(demo::own_tested(), 1);\n}\n";
+    let other = "pub fn unrelated() {}\n\
+                 #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        assert_eq!(demo::other_tested(), 2);\n    }\n}\n";
+    let other_main = "fn main() {\n    other::unrelated();\n}\n";
+    assert_eq!(
+        dead_pub(
+            "cli-dead-tests",
+            &[
+                ("crates/demo/src/lib.rs", lib),
+                ("crates/demo/tests/it.rs", own_itest),
+                ("crates/other/src/lib.rs", other),
+                ("crates/other/src/main.rs", other_main),
+            ],
+        ),
+        ["crates/demo/src/lib.rs: own_tested"]
+    );
+}
+
+#[test]
+fn dead_pub_keeps_fns_the_benchmark_or_an_example_names() {
+    let lib = "pub fn for_bench() {}\npub fn for_example() {}\npub fn unused() {}\n";
+    let bench = "pub fn workload() {\n    demo::for_bench();\n}\n";
+    let example = "fn main() {\n    demo::for_example();\n}\n";
+    assert_eq!(
+        dead_pub(
+            "cli-dead-roots",
+            &[
+                ("crates/demo/src/lib.rs", lib),
+                ("perfbench/src/lib.rs", bench),
+                ("examples/ex.rs", example),
+            ],
+        ),
+        ["crates/demo/src/lib.rs: unused"]
+    );
+}

@@ -1,17 +1,15 @@
 //! Libm-free math replacements.
 //!
 //! Early AmuletOS versions shipped without the C math library, forcing the
-//! paper's authors to hand-roll numeric helpers (Insight #2: the authors
-//! even "wrote our own APIs … that convert the string to float, float to
-//! string"). This module reproduces those building blocks so the embedded
+//! paper's authors to hand-roll numeric helpers (Insight #2). This module
+//! reproduces the numeric building blocks so the embedded
 //! ("Amulet") execution flavor of the detector never calls into `std`'s
 //! transcendental functions:
 //!
 //! * [`sqrt_newton`] / [`sqrt_newton_f32`] — Newton–Raphson square roots,
 //! * [`isqrt_u64`] — integer square root (used by the Q16.16 fixed-point
 //!   type),
-//! * [`atan_approx`] / [`atan2_approx`] — polynomial arctangent,
-//! * [`atof`] / [`ftoa`] — the string/float conversions from Insight #2.
+//! * [`atan_approx`] / [`atan2_approx`] — polynomial arctangent.
 
 /// Newton–Raphson square root for `f64`.
 ///
@@ -148,105 +146,6 @@ pub fn atan2_approx(y: f64, x: f64) -> f64 {
     }
 }
 
-/// Parse a decimal string into `f64` without the standard parser —
-/// supports an optional sign, integer part, fractional part, and no
-/// exponent, mirroring the minimal `atof` the paper's authors wrote for
-/// AmuletOS.
-///
-/// Returns `None` on any malformed input.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(dsp::embedded_math::atof("-12.25"), Some(-12.25));
-/// assert_eq!(dsp::embedded_math::atof("1.5e3"), None); // no exponents
-/// ```
-// lint:allow(embedded-no-f64, reproduces the authors' hand-written atof which accumulates in double)
-// lint:allow(embedded-no-float-literal, digit/scale constants are the algorithm)
-// lint:allow(embedded-no-slice-index, every index is bounded by the rest.len() loop condition above it)
-pub fn atof(s: &str) -> Option<f64> {
-    let s = s.trim();
-    if s.is_empty() {
-        return None;
-    }
-    let bytes = s.as_bytes();
-    let (sign, rest) = match bytes[0] {
-        b'-' => (-1.0, &bytes[1..]),
-        b'+' => (1.0, &bytes[1..]),
-        _ => (1.0, bytes),
-    };
-    if rest.is_empty() {
-        return None;
-    }
-    let mut int_part = 0.0f64;
-    let mut i = 0;
-    let mut saw_digit = false;
-    while i < rest.len() && rest[i].is_ascii_digit() {
-        int_part = int_part * 10.0 + (rest[i] - b'0') as f64;
-        i += 1;
-        saw_digit = true;
-    }
-    let mut frac_part = 0.0f64;
-    if i < rest.len() && rest[i] == b'.' {
-        i += 1;
-        let mut scale = 0.1f64;
-        while i < rest.len() && rest[i].is_ascii_digit() {
-            frac_part += (rest[i] - b'0') as f64 * scale;
-            scale *= 0.1;
-            i += 1;
-            saw_digit = true;
-        }
-    }
-    if i != rest.len() || !saw_digit {
-        return None;
-    }
-    Some(sign * (int_part + frac_part))
-}
-
-/// Format `x` with `decimals` fractional digits without the standard
-/// formatter (rounds half away from zero) — the `ftoa` counterpart of
-/// [`atof`].
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(dsp::embedded_math::ftoa(3.14159, 2), "3.14");
-/// assert_eq!(dsp::embedded_math::ftoa(-0.005, 2), "-0.01");
-/// ```
-// lint:allow(embedded-no-f64, reproduces the authors' hand-written ftoa which formats from double)
-// lint:allow(embedded-no-float-literal, rounding constants are the algorithm)
-// lint:allow(embedded-no-heap-alloc, returns an owned String on the host; the device counterpart writes into a fixed char buffer)
-pub fn ftoa(x: f64, decimals: u32) -> String {
-    if x.is_nan() {
-        return "nan".to_string();
-    }
-    if x.is_infinite() {
-        return if x > 0.0 { "inf" } else { "-inf" }.to_string();
-    }
-    let neg = x < 0.0;
-    let mut scale = 1.0f64;
-    for _ in 0..decimals {
-        scale *= 10.0;
-    }
-    let scaled = (x.abs() * scale + 0.5).floor() as u64;
-    let int_part = scaled / scale as u64;
-    let frac_part = scaled % scale as u64;
-    let mut out = String::new();
-    if neg && scaled > 0 {
-        out.push('-');
-    }
-    out.push_str(&int_part.to_string());
-    if decimals > 0 {
-        out.push('.');
-        let frac_str = frac_part.to_string();
-        for _ in 0..(decimals as usize - frac_str.len()) {
-            out.push('0');
-        }
-        out.push_str(&frac_str);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,42 +233,5 @@ mod tests {
             assert!((want - got).abs() < 3e-4, "y={y} x={x} want={want} got={got}");
         }
         assert_eq!(atan2_approx(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn atof_round_trips_simple_decimals() {
-        assert_eq!(atof("42"), Some(42.0));
-        assert_eq!(atof("-0.5"), Some(-0.5));
-        assert_eq!(atof("+3.25"), Some(3.25));
-        assert_eq!(atof("  7.0  "), Some(7.0));
-    }
-
-    #[test]
-    fn atof_rejects_garbage() {
-        assert_eq!(atof(""), None);
-        assert_eq!(atof("abc"), None);
-        assert_eq!(atof("1.2.3"), None);
-        assert_eq!(atof("-"), None);
-        assert_eq!(atof("."), None);
-        assert_eq!(atof("1e5"), None);
-    }
-
-    #[test]
-    fn ftoa_formats_and_rounds() {
-        assert_eq!(ftoa(0.0, 2), "0.00");
-        assert_eq!(ftoa(1.25, 1), "1.3");
-        assert_eq!(ftoa(-2.5, 0), "-3");
-        assert_eq!(ftoa(12.3456, 3), "12.346");
-        assert_eq!(ftoa(9.999, 2), "10.00");
-    }
-
-    #[test]
-    fn ftoa_atof_round_trip() {
-        for i in -50..50 {
-            let x = i as f64 * 0.73;
-            let s = ftoa(x, 6);
-            let back = atof(&s).unwrap();
-            assert!((back - x).abs() < 1e-6, "x={x} s={s}");
-        }
     }
 }

@@ -106,9 +106,9 @@ impl Derivative {
 ///
 /// ```
 /// # fn main() -> Result<(), dsp::DspError> {
-/// // Remove baseline wander below 0.5 Hz from a 360 Hz ECG stream.
-/// let mut hp = dsp::filter::Biquad::high_pass(360.0, 0.5, 0.707)?;
-/// let filtered = hp.apply(&[0.1, 0.2, 0.15, 0.12]);
+/// // Emphasise the QRS band of a 360 Hz ECG stream.
+/// let mut bp = dsp::filter::Biquad::band_pass(360.0, 15.0, 1.0)?;
+/// let filtered = bp.apply(&[0.1, 0.2, 0.15, 0.12]);
 /// assert_eq!(filtered.len(), 4);
 /// # Ok(())
 /// # }
@@ -143,40 +143,12 @@ impl Biquad {
         }
     }
 
-    /// RBJ low-pass design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] unless
-    /// `0 < cutoff_hz < fs / 2` and `q > 0`.
-    pub fn low_pass(fs: f64, cutoff_hz: f64, q: f64) -> Result<Self, DspError> {
-        let (w0, alpha) = Self::design_params(fs, cutoff_hz, q)?;
-        let cw = w0.cos();
-        let b1 = 1.0 - cw;
-        let b0 = b1 / 2.0;
-        let b2 = b0;
-        Ok(Self::normalize(b0, b1, b2, alpha, cw))
-    }
-
-    /// RBJ high-pass design.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Biquad::low_pass`].
-    pub fn high_pass(fs: f64, cutoff_hz: f64, q: f64) -> Result<Self, DspError> {
-        let (w0, alpha) = Self::design_params(fs, cutoff_hz, q)?;
-        let cw = w0.cos();
-        let b0 = (1.0 + cw) / 2.0;
-        let b1 = -(1.0 + cw);
-        let b2 = b0;
-        Ok(Self::normalize(b0, b1, b2, alpha, cw))
-    }
-
     /// RBJ constant-skirt band-pass design centred on `center_hz`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Biquad::low_pass`].
+    /// Returns [`DspError::InvalidParameter`] unless
+    /// `0 < center_hz < fs / 2` and `q > 0`.
     pub fn band_pass(fs: f64, center_hz: f64, q: f64) -> Result<Self, DspError> {
         let (w0, alpha) = Self::design_params(fs, center_hz, q)?;
         let cw = w0.cos();
@@ -236,14 +208,6 @@ impl Biquad {
     /// Apply the filter to an entire signal.
     pub fn apply(&mut self, signal: &[f64]) -> Vec<f64> {
         signal.iter().map(|&x| self.step(x)).collect()
-    }
-
-    /// Reset the filter state to zero without changing coefficients.
-    pub fn reset(&mut self) {
-        self.x1 = 0.0;
-        self.x2 = 0.0;
-        self.y1 = 0.0;
-        self.y2 = 0.0;
     }
 }
 
@@ -334,28 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn low_pass_attenuates_high_frequency() {
-        let fs = 250.0;
-        let mut lp = Biquad::low_pass(fs, 5.0, std::f64::consts::FRAC_1_SQRT_2).unwrap();
-        // 60 Hz tone should be strongly attenuated.
-        let tone: Vec<f64> = (0..2500)
-            .map(|i| (2.0 * std::f64::consts::PI * 60.0 * i as f64 / fs).sin())
-            .collect();
-        let out = lp.apply(&tone);
-        let in_rms = crate::stats::rms(&tone[500..]).unwrap();
-        let out_rms = crate::stats::rms(&out[500..]).unwrap();
-        assert!(out_rms < in_rms * 0.05, "out_rms={out_rms} in_rms={in_rms}");
-    }
-
-    #[test]
-    fn high_pass_removes_dc() {
-        let fs = 250.0;
-        let mut hp = Biquad::high_pass(fs, 0.5, std::f64::consts::FRAC_1_SQRT_2).unwrap();
-        let out = hp.apply(&[1.0; 5000]);
-        assert!(out.last().unwrap().abs() < 1e-3);
-    }
-
-    #[test]
     fn band_pass_passes_center_attenuates_sides() {
         let fs = 250.0;
         let mut bp = Biquad::band_pass(fs, 15.0, 1.0).unwrap();
@@ -366,16 +308,16 @@ mod tests {
             .map(|i| (2.0 * std::f64::consts::PI * 1.0 * i as f64 / fs).sin())
             .collect();
         let c = crate::stats::rms(&bp.apply(&centre)[1000..]).unwrap();
-        bp.reset();
+        let mut bp = Biquad::band_pass(fs, 15.0, 1.0).unwrap();
         let s = crate::stats::rms(&bp.apply(&side)[1000..]).unwrap();
         assert!(c > 3.0 * s, "centre rms {c} vs side rms {s}");
     }
 
     #[test]
     fn biquad_design_rejects_bad_params() {
-        assert!(Biquad::low_pass(0.0, 1.0, 1.0).is_err());
-        assert!(Biquad::low_pass(100.0, 60.0, 1.0).is_err()); // above Nyquist
-        assert!(Biquad::low_pass(100.0, 10.0, 0.0).is_err());
+        assert!(Biquad::band_pass(0.0, 1.0, 1.0).is_err());
+        assert!(Biquad::band_pass(100.0, 60.0, 1.0).is_err()); // above Nyquist
+        assert!(Biquad::band_pass(100.0, 10.0, 0.0).is_err());
     }
 
     #[test]

@@ -4,14 +4,12 @@
 //! workspace is built on:
 //!
 //! * [`stats`] — descriptive statistics (mean, variance, percentiles, …),
-//! * [`normalize`] — min–max and z-score normalization used to build SIFT
+//! * [`normalize`] — min–max normalization used to build SIFT
 //!   *portraits*,
 //! * [`filter`] — moving-average, median and biquad (RBJ) filters used by
 //!   the R-peak detector,
 //! * [`integrate`] — numerical integration, including the paper's
 //!   *simplified* composite-trapezoid rule (§III, FeatureExtraction state),
-//! * [`window`] — sliding-window iteration used by the trainer and the
-//!   detector,
 //! * [`resample`] — linear-interpolation resampling between sample rates,
 //! * [`embedded_math`] — libm-free replacements (Newton square root,
 //!   polynomial `atan2`, …) that model the Amulet's "no C math library"
@@ -40,9 +38,7 @@ pub mod fixed;
 pub mod integrate;
 pub mod normalize;
 pub mod resample;
-pub mod spectrum;
 pub mod stats;
-pub mod window;
 
 mod error;
 

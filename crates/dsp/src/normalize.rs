@@ -36,57 +36,6 @@ pub fn min_max(samples: &[f64]) -> Result<Vec<f64>, DspError> {
     Ok(samples.iter().map(|x| (x - lo) / span).collect())
 }
 
-/// In-place min–max normalization; same contract as [`min_max`].
-///
-/// # Errors
-///
-/// Same conditions as [`min_max`].
-pub fn min_max_in_place(samples: &mut [f64]) -> Result<(), DspError> {
-    let (lo, hi) = stats::min_max(samples)?;
-    if !lo.is_finite() || !hi.is_finite() {
-        return Err(DspError::NonFiniteInput);
-    }
-    if hi == lo {
-        return Err(DspError::ConstantSignal);
-    }
-    let span = hi - lo;
-    for x in samples.iter_mut() {
-        *x = (*x - lo) / span;
-    }
-    Ok(())
-}
-
-/// Z-score normalization: subtract the mean, divide by the population
-/// standard deviation.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] on empty input and
-/// [`DspError::ConstantSignal`] when the standard deviation is zero.
-pub fn z_score(samples: &[f64]) -> Result<Vec<f64>, DspError> {
-    let m = stats::mean(samples)?;
-    let s = stats::std_dev(samples)?;
-    if s == 0.0 {
-        return Err(DspError::ConstantSignal);
-    }
-    Ok(samples.iter().map(|x| (x - m) / s).collect())
-}
-
-/// Rescale `samples` from `[0, 1]` into an arbitrary target range.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidParameter`] when `lo >= hi`.
-pub fn rescale(samples: &[f64], lo: f64, hi: f64) -> Result<Vec<f64>, DspError> {
-    if lo >= hi {
-        return Err(DspError::InvalidParameter {
-            name: "lo/hi",
-            reason: "lower bound must be strictly below upper bound",
-        });
-    }
-    Ok(samples.iter().map(|x| lo + x * (hi - lo)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,38 +60,5 @@ mod tests {
     #[test]
     fn min_max_rejects_nan() {
         assert_eq!(min_max(&[1.0, f64::NAN]), Err(DspError::NonFiniteInput));
-    }
-
-    #[test]
-    fn min_max_in_place_matches_out_of_place() {
-        let xs = [3.0, -1.0, 0.5, 2.0];
-        let out = min_max(&xs).unwrap();
-        let mut buf = xs;
-        min_max_in_place(&mut buf).unwrap();
-        assert_eq!(out.as_slice(), buf.as_slice());
-    }
-
-    #[test]
-    fn z_score_mean_zero_std_one() {
-        let z = z_score(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        let m: f64 = z.iter().sum::<f64>() / z.len() as f64;
-        let v: f64 = z.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / z.len() as f64;
-        assert!(m.abs() < 1e-12);
-        assert!((v - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rescale_round_trip() {
-        let unit = [0.0, 0.25, 1.0];
-        let scaled = rescale(&unit, -2.0, 2.0).unwrap();
-        assert_eq!(scaled, vec![-2.0, -1.0, 2.0]);
-    }
-
-    #[test]
-    fn rescale_rejects_inverted_range() {
-        assert!(matches!(
-            rescale(&[0.5], 1.0, 0.0),
-            Err(DspError::InvalidParameter { .. })
-        ));
     }
 }

@@ -41,21 +41,6 @@ pub fn variance(samples: &[f64]) -> Result<f64, DspError> {
     Ok(ss / samples.len() as f64)
 }
 
-/// Sample variance (divides by `n - 1`).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `samples` has fewer than two
-/// elements.
-pub fn sample_variance(samples: &[f64]) -> Result<f64, DspError> {
-    if samples.len() < 2 {
-        return Err(DspError::EmptyInput);
-    }
-    let m = mean(samples)?;
-    let ss: f64 = samples.iter().map(|x| (x - m) * (x - m)).sum();
-    Ok(ss / (samples.len() - 1) as f64)
-}
-
 /// Population standard deviation.
 ///
 /// # Errors
@@ -70,6 +55,7 @@ pub fn std_dev(samples: &[f64]) -> Result<f64, DspError> {
 /// # Errors
 ///
 /// Returns [`DspError::EmptyInput`] if `samples` is empty.
+#[cfg(test)]
 pub fn rms(samples: &[f64]) -> Result<f64, DspError> {
     if samples.is_empty() {
         return Err(DspError::EmptyInput);
@@ -207,28 +193,6 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
     Ok(cov / (va.sqrt() * vb.sqrt()))
 }
 
-/// Lag-`k` autocorrelation of a signal, normalized by its variance.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if the signal is shorter than `k + 2`
-/// samples and [`DspError::ConstantSignal`] if it has zero variance.
-pub fn autocorrelation(samples: &[f64], k: usize) -> Result<f64, DspError> {
-    if samples.len() < k + 2 {
-        return Err(DspError::EmptyInput);
-    }
-    let m = mean(samples)?;
-    let var: f64 = samples.iter().map(|x| (x - m) * (x - m)).sum();
-    if var == 0.0 {
-        return Err(DspError::ConstantSignal);
-    }
-    let cov: f64 = samples
-        .windows(k + 1)
-        .map(|w| (w[0] - m) * (w[k] - m))
-        .sum();
-    Ok(cov / var)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,17 +211,6 @@ mod tests {
     fn variance_of_known_sequence() {
         // Var([1,2,3,4]) with population convention = 1.25.
         assert!((variance(&[1.0, 2.0, 3.0, 4.0]).unwrap() - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_divides_by_n_minus_one() {
-        let v = sample_variance(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert!((v - 5.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_needs_two_points() {
-        assert_eq!(sample_variance(&[1.0]), Err(DspError::EmptyInput));
     }
 
     #[test]
@@ -331,18 +284,5 @@ mod tests {
             pearson(&[1.0], &[1.0, 2.0]),
             Err(DspError::LengthMismatch { left: 1, right: 2 })
         );
-    }
-
-    #[test]
-    fn autocorrelation_lag_zero_is_one() {
-        let xs = [1.0, 3.0, 2.0, 5.0, 4.0];
-        assert!((autocorrelation(&xs, 0).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn autocorrelation_periodic_signal() {
-        // Period-2 signal has strong negative lag-1 autocorrelation.
-        let xs: Vec<f64> = (0..64).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-        assert!(autocorrelation(&xs, 1).unwrap() < -0.9);
     }
 }

@@ -75,13 +75,6 @@ pub struct LogisticRegression {
     bias: f64,
 }
 
-impl LogisticRegression {
-    /// Probability of the positive class.
-    pub fn probability(&self, x: &[f64]) -> f64 {
-        1.0 / (1.0 + (-self.decision_function(x)).exp())
-    }
-}
-
 impl Classifier for LogisticRegression {
     fn decision_function(&self, x: &[f64]) -> f64 {
         self.weights.iter().zip(x).map(|(a, c)| a * c).sum::<f64>() + self.bias
@@ -193,16 +186,6 @@ impl NearestCentroid {
             negative: neg,
         })
     }
-
-    /// The positive-class centroid.
-    pub fn positive_centroid(&self) -> &[f64] {
-        &self.positive
-    }
-
-    /// The negative-class centroid.
-    pub fn negative_centroid(&self) -> &[f64] {
-        &self.negative
-    }
 }
 
 impl Classifier for NearestCentroid {
@@ -235,18 +218,6 @@ mod tests {
         for (x, y) in d.iter() {
             assert_eq!(m.predict(x), y);
         }
-    }
-
-    #[test]
-    fn logreg_probability_in_unit_interval() {
-        let d = blobs();
-        let m = LogisticRegressionTrainer::default().fit(&d).unwrap();
-        for (x, _) in d.iter() {
-            let p = m.probability(x);
-            assert!((0.0..=1.0).contains(&p));
-        }
-        assert!(m.probability(&[5.0, 5.0]) > 0.9);
-        assert!(m.probability(&[-3.0, -3.0]) < 0.1);
     }
 
     #[test]
@@ -288,8 +259,8 @@ mod tests {
         d.push(vec![2.0], Label::Negative).unwrap();
         d.push(vec![10.0], Label::Positive).unwrap();
         let m = NearestCentroid::fit(&d).unwrap();
-        assert_eq!(m.negative_centroid(), &[1.0]);
-        assert_eq!(m.positive_centroid(), &[10.0]);
+        assert_eq!(m.negative, [1.0]);
+        assert_eq!(m.positive, [10.0]);
     }
 
     #[test]

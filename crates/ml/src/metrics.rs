@@ -36,20 +36,6 @@ pub struct ConfusionMatrix {
 }
 
 impl ConfusionMatrix {
-    /// Build from parallel slices of truth and prediction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn from_pairs(truth: &[Label], predicted: &[Label]) -> Self {
-        assert_eq!(truth.len(), predicted.len(), "label slices must align");
-        let mut m = ConfusionMatrix::default();
-        for (&t, &p) in truth.iter().zip(predicted) {
-            m.record(t, p);
-        }
-        m
-    }
-
     /// Record one observation.
     pub fn record(&mut self, truth: Label, predicted: Label) {
         match (truth, predicted) {
@@ -292,23 +278,6 @@ mod tests {
         assert_eq!(m.false_positive_rate(), None);
         assert_eq!(m.false_negative_rate(), None);
         assert_eq!(m.f1(), None);
-    }
-
-    #[test]
-    fn from_pairs_counts() {
-        use Label::*;
-        let truth = [Positive, Positive, Negative, Negative];
-        let pred = [Positive, Negative, Positive, Negative];
-        let m = ConfusionMatrix::from_pairs(&truth, &pred);
-        assert_eq!(
-            m,
-            ConfusionMatrix {
-                tp: 1,
-                fp: 1,
-                tn: 1,
-                fn_: 1
-            }
-        );
     }
 
     #[test]

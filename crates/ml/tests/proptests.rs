@@ -107,7 +107,10 @@ proptest! {
         let n = truth.len().min(pred.len());
         let t: Vec<Label> = truth[..n].iter().map(|&b| if b { Label::Positive } else { Label::Negative }).collect();
         let p: Vec<Label> = pred[..n].iter().map(|&b| if b { Label::Positive } else { Label::Negative }).collect();
-        let m = ConfusionMatrix::from_pairs(&t, &p);
+        let mut m = ConfusionMatrix::default();
+        for (&ti, &pi) in t.iter().zip(&p) {
+            m.record(ti, pi);
+        }
         prop_assert_eq!(m.total(), n);
         prop_assert_eq!(m.tp + m.fn_, t.iter().filter(|&&l| l == Label::Positive).count());
         prop_assert_eq!(m.fp + m.tn, t.iter().filter(|&&l| l == Label::Negative).count());
@@ -176,8 +179,16 @@ fn dual_cd_and_smo_agree_on_separable_data() {
         assert_eq!(cd.predict(x), y, "dual CD mislabels {x:?}");
         assert_eq!(smo.predict(x), y, "SMO mislabels {x:?}");
     }
-    // The collapsed SMO hyperplane points the same way as dual CD's.
-    let (w_smo, _) = smo.to_linear_weights().unwrap();
+    // The SMO hyperplane points the same way as dual CD's. With a
+    // linear kernel, `f(e_j) - f(0)` is the j-th weight.
+    let origin = smo.decision_function(&[0.0; 3]);
+    let w_smo: Vec<f64> = (0..3)
+        .map(|j| {
+            let mut e = [0.0; 3];
+            e[j] = 1.0;
+            smo.decision_function(&e) - origin
+        })
+        .collect();
     let dot: f64 = cd.weights().iter().zip(&w_smo).map(|(a, b)| a * b).sum();
     assert!(dot > 0.0, "hyperplanes disagree in direction");
 }

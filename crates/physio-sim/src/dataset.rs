@@ -6,7 +6,6 @@
 //! non-overlapping w = 3 s windows.
 
 use crate::record::Record;
-use crate::subject::Subject;
 use dsp::DspError;
 
 /// Cut `record` into non-overlapping windows of `window_s` seconds,
@@ -110,25 +109,6 @@ pub fn sliding_windows(
         .collect())
 }
 
-/// A subject's training and testing material, generated with disjoint
-/// random seeds so the test records are "unseen" exactly as in the paper.
-#[derive(Debug, Clone)]
-pub struct SubjectData {
-    /// Training record (Δ seconds).
-    pub train: Record,
-    /// Test record, never overlapping the training material.
-    pub test: Record,
-}
-
-/// Generate training (Δ = `train_s`) and unseen test (`test_s`) records
-/// for `subject`, deterministically derived from `seed`.
-pub fn subject_data(subject: &Subject, train_s: f64, test_s: f64, seed: u64) -> SubjectData {
-    SubjectData {
-        train: Record::synthesize(subject, train_s, seed.wrapping_mul(2).wrapping_add(1)),
-        test: Record::synthesize(subject, test_s, seed.wrapping_mul(2).wrapping_add(0x5EED)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,23 +164,5 @@ mod tests {
                 "step {step_s} accepted"
             );
         }
-    }
-
-    #[test]
-    fn subject_data_train_test_differ() {
-        let s = &bank()[2];
-        let d = subject_data(s, 60.0, 30.0, 9);
-        assert_ne!(d.train.ecg[..100], d.test.ecg[..100]);
-        assert_eq!(d.train.duration_s(), 60.0);
-        assert_eq!(d.test.duration_s(), 30.0);
-    }
-
-    #[test]
-    fn subject_data_deterministic() {
-        let s = &bank()[2];
-        let a = subject_data(s, 10.0, 5.0, 9);
-        let b = subject_data(s, 10.0, 5.0, 9);
-        assert_eq!(a.train, b.train);
-        assert_eq!(a.test, b.test);
     }
 }

@@ -39,10 +39,8 @@ pub mod abp;
 pub mod dataset;
 pub mod ecg;
 pub mod ectopy;
-pub mod hrv;
 pub mod noise;
 pub mod population;
-pub mod quality;
 pub mod record;
 pub mod rpeak;
 pub mod rr;

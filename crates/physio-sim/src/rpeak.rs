@@ -130,7 +130,9 @@ pub fn detect(ecg: &[f64], fs: f64, config: &RPeakConfig) -> Result<Vec<usize>, 
 }
 
 /// Detection-quality summary comparing detected peaks against a
-/// ground-truth annotation, with a tolerance window.
+/// ground-truth annotation, with a tolerance window: the oracle the
+/// peak detectors' tests score against.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeakScore {
     /// Ground-truth peaks matched by a detection within tolerance.
@@ -141,6 +143,7 @@ pub struct PeakScore {
     pub false_negatives: usize,
 }
 
+#[cfg(test)]
 impl PeakScore {
     /// Sensitivity (recall): TP / (TP + FN). `None` when undefined.
     pub fn sensitivity(&self) -> Option<f64> {
@@ -157,6 +160,7 @@ impl PeakScore {
 
 /// Score `detected` against `truth` with `tolerance` samples of slack.
 /// Both inputs must be ascending.
+#[cfg(test)]
 pub fn score(detected: &[usize], truth: &[usize], tolerance: usize) -> PeakScore {
     let mut tp = 0;
     let mut used = vec![false; detected.len()];

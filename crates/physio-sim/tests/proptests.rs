@@ -91,20 +91,4 @@ proptest! {
             prop_assert!(r.r_peaks.contains(&(p + start)));
         }
     }
-
-    #[test]
-    fn quality_score_bounded(subject in 0usize..12, seed in any::<u64>()) {
-        let b = bank();
-        let r = Record::synthesize(&b[subject], 3.0, seed);
-        let q = physio_sim::quality::assess(
-            &r.ecg,
-            &r.r_peaks,
-            r.fs,
-            &physio_sim::quality::QualityConfig::default(),
-        )
-        .unwrap();
-        prop_assert!((0.0..=1.0).contains(&q.score));
-        prop_assert!((0.0..=1.0).contains(&q.flat_run_frac));
-        prop_assert!((0.0..=1.0).contains(&q.rail_frac));
-    }
 }

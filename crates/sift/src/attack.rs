@@ -93,44 +93,6 @@ pub fn substitution_test_set(
     Ok(out)
 }
 
-/// Splice donor ECG into a copy of `victim` over the sample range
-/// `[start, end)`, merging peak annotations accordingly. Used by the
-/// WIoT live-stream attacker.
-///
-/// # Errors
-///
-/// Returns [`SiftError::InvalidConfig`] if the range is out of bounds
-/// for either record.
-pub fn splice_ecg(
-    victim: &Record,
-    donor: &Record,
-    start: usize,
-    end: usize,
-) -> Result<Record, SiftError> {
-    if start > end || end > victim.len() || end > donor.len() {
-        return Err(SiftError::InvalidConfig {
-            reason: "splice range out of bounds",
-        });
-    }
-    let mut out = victim.clone();
-    out.ecg[start..end].copy_from_slice(&donor.ecg[start..end]);
-    out.r_peaks = victim
-        .r_peaks
-        .iter()
-        .copied()
-        .filter(|&p| p < start || p >= end)
-        .chain(
-            donor
-                .r_peaks
-                .iter()
-                .copied()
-                .filter(|&p| p >= start && p < end),
-        )
-        .collect();
-    out.r_peaks.sort_unstable();
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,28 +175,5 @@ mod tests {
         let v = Record::synthesize(&b[0], 120.0, 1);
         let d = Record::synthesize(&b[1], 60.0, 2);
         assert!(substitution_test_set(&v, &d, 3.0, 0.5, 0).is_err());
-    }
-
-    #[test]
-    fn splice_replaces_range_and_merges_peaks() {
-        let (v, d) = records();
-        let spliced = splice_ecg(&v, &d, 1000, 5000).unwrap();
-        assert_eq!(spliced.ecg[..1000], v.ecg[..1000]);
-        assert_eq!(spliced.ecg[1000..5000], d.ecg[1000..5000]);
-        assert_eq!(spliced.ecg[5000..], v.ecg[5000..]);
-        assert!(spliced.r_peaks.windows(2).all(|w| w[0] < w[1]));
-        // Peaks inside the range come from the donor.
-        for &p in spliced.r_peaks.iter().filter(|&&p| (1000..5000).contains(&p)) {
-            assert!(d.r_peaks.contains(&p));
-        }
-        // ABP untouched.
-        assert_eq!(spliced.abp, v.abp);
-    }
-
-    #[test]
-    fn splice_rejects_bad_range() {
-        let (v, d) = records();
-        assert!(splice_ecg(&v, &d, 10, 5).is_err());
-        assert!(splice_ecg(&v, &d, 0, v.len() + 1).is_err());
     }
 }

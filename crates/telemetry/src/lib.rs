@@ -41,7 +41,6 @@ pub mod record;
 pub mod ring;
 
 pub use metrics::{CounterId, GaugeId, Histogram, StageStats, COUNTER_COUNT, GAUGE_COUNT};
-pub use record::SpanScope;
 pub use ring::{Event, EventCode, EventRing};
 
 /// The four instrumented pipeline stages (paper Fig. 2 / §III). The

@@ -17,7 +17,8 @@ pub enum CounterId {
     WindowsSalvaged,
     /// Windows lost to the channel.
     WindowsDropped,
-    /// Windows rejected by the quality gate.
+    /// Windows rejected by a signal-quality gate. No producer remains;
+    /// the counter keeps its slot in the export.
     WindowsRejected,
     /// Windows classified by the host-side pipeline.
     WindowsClassified,

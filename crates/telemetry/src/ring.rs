@@ -32,7 +32,8 @@ pub enum EventCode {
     WindowSalvaged,
     /// Window lost to the channel (`a` = index).
     WindowDropped,
-    /// Window rejected by the quality gate (`a` = index).
+    /// Window rejected by a signal-quality gate (`a` = index). No
+    /// producer remains; the code keeps its slot in the export.
     WindowRejected,
     /// Stream watchdog raised a stall alert.
     StallAlert,

@@ -37,7 +37,7 @@ use crate::fleet::{
     device_seed, ordered_fold, run_fleet_provisioned, DeviceProvision, FleetProvisioner,
     FleetReport, FleetSpec,
 };
-use crate::scenario::{secs_to_ms, AttackSpec, Scenario};
+use crate::scenario::{check_duration, secs_to_ms, AttackSpec, Scenario};
 use crate::WiotError;
 use ml::BackendKind;
 use ml::DetectorModel;
@@ -593,6 +593,7 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, WiotError> {
             reason: "campaign needs at least one non-empty wave",
         });
     }
+    check_duration(plan.duration_s)?;
     for w in &plan.waves {
         attack_window_ms(w.start_s, w.end_s, plan.duration_s)?;
     }
@@ -935,6 +936,10 @@ mod tests {
         // Attack windows rejected before any device is built: NaN and
         // infinite ends, empty once truncated to whole milliseconds, a
         // negative start, an end past the session, a reversed window.
+        // So are session durations that are infinite (every finite
+        // window would fit, and beat synthesis would never end), NaN or
+        // non-positive.
+        let bad_durations = [f64::INFINITY, f64::NAN, 0.0, -24.0];
         let bad_windows = [
             (8.0, f64::NAN),
             (f64::NAN, 16.0),
@@ -995,6 +1000,10 @@ mod tests {
                 start_s,
                 end_s,
             }],
+            ..base.clone()
+        }))
+        .chain(bad_durations.iter().map(|&duration_s| CampaignPlan {
+            duration_s,
             ..base.clone()
         })) {
             assert!(

@@ -86,6 +86,7 @@ impl LossModel {
     }
 
     /// Long-run mean loss rate of the process.
+    #[cfg(test)]
     pub fn mean_loss(&self) -> f64 {
         match self {
             LossModel::Bernoulli { p } => *p,
@@ -254,6 +255,7 @@ impl Channel {
     /// A perfect channel (no loss, no delay) for baseline scenarios.
     /// Built directly rather than through the validating constructor so
     /// it is infallible by construction.
+    #[cfg(test)]
     pub fn perfect() -> Self {
         Self {
             config: ChannelConfig::default(),

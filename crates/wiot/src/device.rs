@@ -124,6 +124,7 @@ impl SensorDevice {
     }
 
     /// Number of whole packets this device will emit in total.
+    #[cfg(test)]
     pub fn total_packets(&self) -> u64 {
         (self.samples.len() / self.chunk_len) as u64
     }

@@ -147,7 +147,7 @@ pub struct DeviceSummary {
     pub confusion: ConfusionMatrix,
     /// Windows excluded from scoring (partial attack overlap).
     pub ambiguous_windows: usize,
-    /// Windows lost to the channel or the quality gate.
+    /// Windows lost to the channel.
     pub dropped_windows: usize,
     /// Windows repaired by salvage.
     pub salvaged_windows: usize,

@@ -230,8 +230,7 @@ pub struct SimReport {
     /// Windows excluded from scoring because the attack covered only
     /// part of them.
     pub ambiguous_windows: usize,
-    /// Windows dropped by the base station (lost packets) or rejected
-    /// by the quality gate.
+    /// Windows dropped by the base station (lost packets).
     pub dropped_windows: usize,
     /// Windows repaired by zero-order-hold salvage and dispatched
     /// flagged degraded.
@@ -374,6 +373,19 @@ impl Link {
         if let Link::Arq(link) = self {
             link.set_retry_budget(max_retries, extra_shift);
         }
+    }
+}
+
+/// Reject a session duration that is not finite and positive: an
+/// infinite one would synthesize beats forever, and a NaN or
+/// non-positive one would score an empty session.
+pub(crate) fn check_duration(duration_s: f64) -> Result<(), WiotError> {
+    if duration_s.is_finite() && duration_s > 0.0 {
+        Ok(())
+    } else {
+        Err(WiotError::InvalidScenario {
+            reason: "session duration must be finite and positive",
+        })
     }
 }
 
@@ -628,6 +640,7 @@ impl DeviceSim {
         scenario: &Scenario,
         options: DeviceOptions<'_>,
     ) -> Result<Self, WiotError> {
+        check_duration(scenario.duration_s)?;
         // With a subject override the legacy bank is never touched
         // (population-scale campaigns would otherwise rebuild it per
         // device); without one, behavior is exactly as before.
@@ -1295,10 +1308,6 @@ impl DeviceSim {
                     tele.event(t, EventCode::WindowDropped, idx as u64, 0);
                     tele.count(CounterId::WindowsDropped, 1);
                 }
-                WindowOutcome::Rejected => {
-                    tele.event(t, EventCode::WindowRejected, idx as u64, 0);
-                    tele.count(CounterId::WindowsRejected, 1);
-                }
                 WindowOutcome::Emitted { alerted } => {
                     tele.event(t, EventCode::WindowEmitted, idx as u64, u64::from(alerted));
                     tele.count(CounterId::WindowsEmitted, 1);
@@ -1404,7 +1413,7 @@ impl DeviceSim {
                 None
             };
             match outcome {
-                WindowOutcome::Dropped | WindowOutcome::Rejected => dropped += 1,
+                WindowOutcome::Dropped => dropped += 1,
                 WindowOutcome::Emitted { alerted } | WindowOutcome::Salvaged { alerted } => {
                     let predicted = if alerted {
                         Label::Positive
@@ -1705,6 +1714,16 @@ mod tests {
 
     #[test]
     fn bad_attack_windows_are_rejected_not_panicking() {
+        // A session duration that is infinite (beat synthesis would
+        // never end), NaN or non-positive (an empty session) is an
+        // error before any training or synthesis.
+        for duration_s in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -5.0] {
+            let s = Scenario::new(0, Version::Original, duration_s);
+            assert!(
+                matches!(DeviceSim::new(&s), Err(WiotError::InvalidScenario { .. })),
+                "duration {duration_s} accepted"
+            );
+        }
         // NaN and infinite ends, a window empty once truncated to whole
         // milliseconds, and a negative start are errors, never the
         // attacker's non-empty-window assertion or a silent clamp to 0.
@@ -1764,8 +1783,7 @@ mod tests {
         assert_eq!(report.counter(CounterId::FaultReboots), traced.faults.reboots);
         assert_eq!(report.counter(CounterId::PacketsSent), traced.channel.sent);
         assert_eq!(
-            (report.counter(CounterId::WindowsDropped)
-                + report.counter(CounterId::WindowsRejected)) as usize,
+            report.counter(CounterId::WindowsDropped) as usize,
             traced.dropped_windows
         );
         assert!(report

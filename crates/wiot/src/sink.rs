@@ -2,46 +2,29 @@
 //!
 //! "The sink is \[a\] resource-rich device responsible for providing
 //! expensive but non safety-critical operations such as local storage of
-//! historical patient information" (paper §I). Here it archives what the
-//! base station forwards: alerts and periodic vitals history.
+//! historical patient information" (paper §I). Here it archives the
+//! alerts the base station forwards.
 
 use amulet_sim::machine::Alert;
 
-/// Default archive capacities. The sink is "resource-rich", but a
-/// multi-day soak must still run in flat memory; these bounds hold
-/// weeks of realistic traffic.
-const DEFAULT_ALERT_CAP: usize = 8_192;
-const DEFAULT_VITALS_CAP: usize = 32_768;
+/// Archive capacity. The sink is "resource-rich", but a multi-day soak
+/// must still run in flat memory; this bound holds weeks of realistic
+/// traffic.
+const ALERT_CAP: usize = 8_192;
 
-/// One archived vitals sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VitalsEntry {
-    /// Timestamp, ms.
-    pub at_ms: u64,
-    /// Heart rate, bpm.
-    pub heart_rate_bpm: f64,
-}
-
-/// The sink's storage: bounded archives with oldest-first eviction.
+/// The sink's storage: a bounded alert archive with oldest-first
+/// eviction.
 #[derive(Debug, Clone)]
 pub struct Sink {
     alerts: Vec<Alert>,
-    vitals: Vec<VitalsEntry>,
     alert_cap: usize,
-    vitals_cap: usize,
-    alerts_evicted: u64,
-    vitals_evicted: u64,
 }
 
 impl Default for Sink {
     fn default() -> Self {
         Self {
             alerts: Vec::new(),
-            vitals: Vec::new(),
-            alert_cap: DEFAULT_ALERT_CAP,
-            vitals_cap: DEFAULT_VITALS_CAP,
-            alerts_evicted: 0,
-            vitals_evicted: 0,
+            alert_cap: ALERT_CAP,
         }
     }
 }
@@ -52,16 +35,9 @@ impl Sink {
         Self::default()
     }
 
-    /// Override the archive capacities (each at least 1).
-    pub fn with_caps(mut self, alert_cap: usize, vitals_cap: usize) -> Self {
-        self.alert_cap = alert_cap.max(1);
-        self.vitals_cap = vitals_cap.max(1);
-        self
-    }
-
     /// Archive alerts forwarded from the base station; duplicates
     /// (same app + timestamp) are kept only once. Past the capacity the
-    /// oldest alerts are evicted (and counted).
+    /// oldest alerts are evicted.
     pub fn archive_alerts(&mut self, alerts: &[Alert]) {
         for a in alerts {
             if !self
@@ -71,43 +47,15 @@ impl Sink {
             {
                 if self.alerts.len() >= self.alert_cap {
                     self.alerts.remove(0);
-                    self.alerts_evicted += 1;
                 }
                 self.alerts.push(a.clone());
             }
         }
     }
 
-    /// Archive one vitals sample, evicting the oldest past the cap.
-    pub fn archive_vitals(&mut self, at_ms: u64, heart_rate_bpm: f64) {
-        if self.vitals.len() >= self.vitals_cap {
-            self.vitals.remove(0);
-            self.vitals_evicted += 1;
-        }
-        self.vitals.push(VitalsEntry {
-            at_ms,
-            heart_rate_bpm,
-        });
-    }
-
-    /// Alerts evicted from the bounded archive so far.
-    pub fn alerts_evicted(&self) -> u64 {
-        self.alerts_evicted
-    }
-
-    /// Vitals samples evicted from the bounded archive so far.
-    pub fn vitals_evicted(&self) -> u64 {
-        self.vitals_evicted
-    }
-
     /// All archived alerts, in arrival order.
     pub fn alerts(&self) -> &[Alert] {
         &self.alerts
-    }
-
-    /// All archived vitals.
-    pub fn vitals(&self) -> &[VitalsEntry] {
-        &self.vitals
     }
 
     /// Alerts within `[from_ms, to_ms)`.
@@ -116,14 +64,6 @@ impl Sink {
             .iter()
             .filter(|a| (from_ms..to_ms).contains(&a.at_ms))
             .collect()
-    }
-
-    /// Mean heart rate over the archive, if any samples exist.
-    pub fn mean_heart_rate(&self) -> Option<f64> {
-        if self.vitals.is_empty() {
-            return None;
-        }
-        Some(self.vitals.iter().map(|v| v.heart_rate_bpm).sum::<f64>() / self.vitals.len() as f64)
     }
 }
 
@@ -158,26 +98,10 @@ mod tests {
 
     #[test]
     fn bounded_archives_evict_oldest() {
-        let mut s = Sink::new().with_caps(2, 3);
+        let mut s = Sink::new();
+        s.alert_cap = 2;
         s.archive_alerts(&[alert(1, "a"), alert(2, "b"), alert(3, "c")]);
         assert_eq!(s.alerts().len(), 2);
-        assert_eq!(s.alerts_evicted(), 1);
         assert_eq!(s.alerts()[0].message, "b");
-        for t in 0..5 {
-            s.archive_vitals(t, 60.0 + t as f64);
-        }
-        assert_eq!(s.vitals().len(), 3);
-        assert_eq!(s.vitals_evicted(), 2);
-        assert_eq!(s.vitals()[0].at_ms, 2);
-    }
-
-    #[test]
-    fn vitals_history_and_mean() {
-        let mut s = Sink::new();
-        assert_eq!(s.mean_heart_rate(), None);
-        s.archive_vitals(0, 60.0);
-        s.archive_vitals(3000, 70.0);
-        assert_eq!(s.vitals().len(), 2);
-        assert_eq!(s.mean_heart_rate(), Some(65.0));
     }
 }

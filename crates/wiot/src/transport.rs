@@ -250,12 +250,6 @@ impl ArqLink {
         self.retry_extra_shift = extra_shift;
     }
 
-    /// The retry posture currently in force, `(max_retries,
-    /// extra_shift)`.
-    pub fn retry_budget(&self) -> (u32, u32) {
-        (self.retry_max, self.retry_extra_shift)
-    }
-
     /// The underlying channel (e.g. for loss statistics).
     pub fn channel(&self) -> &Channel {
         &self.channel
@@ -598,7 +592,7 @@ mod tests {
             let ch = Channel::new(1.0, 0, 0, 1).unwrap();
             let mut link = ArqLink::new(ch, ArqConfig::default()).unwrap();
             link.set_retry_budget(max, shift);
-            assert_eq!(link.retry_budget(), (max, shift));
+            assert_eq!((link.retry_max, link.retry_extra_shift), (max, shift));
             run(&mut link, 5);
             link.stats()
         };

@@ -40,7 +40,11 @@ fn quiet_scenario() -> Scenario {
 /// over and no further traffic will flush the hole.
 #[test]
 fn nack_recovers_the_lost_final_packet_of_a_stream() {
-    let mut link = ArqLink::new(Channel::perfect(), ArqConfig::default()).unwrap();
+    let mut link = ArqLink::new(
+        Channel::with_config(ChannelConfig::default(), 0).unwrap(),
+        ArqConfig::default(),
+    )
+    .unwrap();
     let mut got = Vec::new();
     let mut now = 0u64;
     for seq in 0..9 {

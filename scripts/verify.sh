@@ -7,6 +7,17 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# Every package's unit, integration and doc tests: a bare `cargo test`
+# runs only the root package. This covers the bit-exactness oracles of
+# Reference synthesis (`physio-sim`, `record::exactness`: bank and
+# 1,024-subject population sweeps, a proptest over random morphologies,
+# pinned sample hashes) and of the Amulet flavor's fused ADC front end
+# (`sift`, `flavor::exactness` against the old three-buffer front end
+# kept as a test oracle), the wiot engine's own unit and property tests
+# (attacker, campaign read spans, scenario validation, fleet engine),
+# the Tsetlin backend's clause-logic and codec-fuzz properties, and the
+# analyzer's rule fixtures. Every digest below rests on those oracles.
+cargo test -q --workspace
 
 # The deterministic test harness, run explicitly so a filtered `cargo
 # test` invocation can never silently skip it.
@@ -15,31 +26,15 @@ cargo test -q --test fleet_props
 cargo test -q --test recovery_props
 cargo test -q --test survival_props
 cargo test -q -p wiot --test transport_edges
-# The wiot package's own unit and property tests (attacker, campaign
-# read spans, scenario validation, fleet engine); a root `cargo test`
-# never runs them.
-cargo test -q -p wiot
 cargo test -q --test resample_props
 # The campaign engine enrolls its victim pool on the fleet engine's
 # ordered-parallel core, so its thread-count invariance is part of the
 # harness too.
 cargo test -q --test campaign_props
-# Reference synthesis is bit-exact against its historical per-sample
-# kernels (bank and 1,024-subject population sweeps, a proptest over
-# random morphologies, pinned sample hashes); every digest below rests
-# on it.
-cargo test -q -p physio-sim
-# The Amulet flavor's fused ADC front end is bit-exact against the
-# previous three-buffer front end, kept as a test oracle (bank windows,
-# a proptest over hostile snippets, exhaustive code boundaries); the
-# flavor's own unit tests live in the sift package too.
-cargo test -q -p sift
 
 # Detector-zoo certification: the backend-parameterized conformance
-# suite (runs every property against BackendKind::ALL) plus the
-# Tsetlin backend's own clause-logic and codec-fuzz properties.
+# suite (runs every property against BackendKind::ALL).
 cargo test -q --test detector_conformance
-cargo test -q -p ml --test tsetlin_props
 
 # Repository benchmark: its conformance suite builds against the public
 # APIs of the simulation crates (attack materialization, device
@@ -51,14 +46,20 @@ cargo clippy --workspace -- -D warnings
 
 # Workspace static analysis: embedded-profile, determinism, call-graph,
 # and budget invariants, with warnings promoted to failures. Also
-# regenerates results/ANALYZER_footprint.json — including the certified
-# worst-case stack section, which is diffed against the committed copy
-# below: a moved stack bound is a real behaviour change (new call edge,
-# new frame) and must be reviewed like any other baseline.
+# regenerates results/ANALYZER_footprint.json, two sections of which are
+# diffed against the committed copy below:
+# - the certified worst-case stack: a moved stack bound is a real
+#   behaviour change (new call edge, new frame) and must be reviewed
+#   like any other baseline;
+# - the reachability report (`dead_pub`, the `pub fn`s nothing runs):
+#   a ratchet, so a new dead `pub fn` fails here until it is deleted or
+#   its reason is given in DESIGN.md and the regenerated list committed.
 footprint=results/ANALYZER_footprint.json
 stack_before=""
+dead_before=""
 if [[ -f "$footprint" ]]; then
   stack_before=$(sed -n '/"stack": {/,/^  }/p' "$footprint")
+  dead_before=$(sed -n '/"dead_pub": /,$p' "$footprint")
 fi
 cargo run -q -p analyzer -- --deny warnings
 if [[ -n "$stack_before" ]]; then
@@ -70,6 +71,16 @@ if [[ -n "$stack_before" ]]; then
     exit 1
   fi
   echo "verify: certified stack section matches committed footprint"
+fi
+if [[ -n "$dead_before" ]]; then
+  dead_after=$(sed -n '/"dead_pub": /,$p' "$footprint")
+  if [[ "$dead_before" != "$dead_after" ]]; then
+    echo "verify: FAIL reachability report (dead_pub) drifted in $footprint:"
+    diff -u <(printf '%s\n' "$dead_before") <(printf '%s\n' "$dead_after") || true
+    echo "verify: delete the unreached pub fn, or give its reason in DESIGN.md and commit the footprint"
+    exit 1
+  fi
+  echo "verify: reachability report matches committed footprint"
 fi
 
 # Crash-recovery soak: 50 devices x ~21 seeded random power cycles

@@ -66,7 +66,7 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 /// One character per window: e/E emitted (alert uppercase), s/S
-/// salvaged, d dropped, r rejected.
+/// salvaged, d dropped.
 fn outcome_tag(outcome: WindowOutcome) -> char {
     match outcome {
         WindowOutcome::Emitted { alerted: false } => 'e',
@@ -74,7 +74,6 @@ fn outcome_tag(outcome: WindowOutcome) -> char {
         WindowOutcome::Salvaged { alerted: false } => 's',
         WindowOutcome::Salvaged { alerted: true } => 'S',
         WindowOutcome::Dropped => 'd',
-        WindowOutcome::Rejected => 'r',
     }
 }
 
